@@ -43,9 +43,9 @@ pub fn parse(src: &str) -> ParsedFile {
 /// let file = parse_tokens(tokenize("<?php echo $_GET['id'];"));
 /// assert!(file.is_clean());
 /// ```
-pub fn parse_tokens(toks: Vec<Token>) -> ParsedFile {
+pub fn parse_tokens(mut toks: Vec<Token<'_>>) -> ParsedFile {
     let _span = phpsafe_obs::span!("stage.parse", toks.len());
-    let toks: Vec<Token> = toks.into_iter().filter(|t| !t.kind.is_trivia()).collect();
+    toks.retain(|t| !t.kind.is_trivia());
     let file = Parser::new(toks).parse_file();
     phpsafe_obs::count("parse.files", 1);
     phpsafe_obs::count("parse.errors", file.errors.len() as u64);
@@ -55,15 +55,18 @@ pub fn parse_tokens(toks: Vec<Token>) -> ParsedFile {
     file
 }
 
-struct Parser {
-    toks: Vec<Token>,
+/// Parser state over a trivia-free token stream. Tokens are `Copy` slices
+/// of the source; nothing the parser builds keeps them (the arena holds
+/// interned symbols and owned literals), so `'src` ends with the parse.
+struct Parser<'src> {
+    toks: Vec<Token<'src>>,
     pos: usize,
     arena: Arena,
     errors: Vec<ParseError>,
 }
 
-impl Parser {
-    fn new(toks: Vec<Token>) -> Self {
+impl<'src> Parser<'src> {
+    fn new(toks: Vec<Token<'src>>) -> Self {
         Parser {
             toks,
             pos: 0,
@@ -74,7 +77,7 @@ impl Parser {
 
     // ---- stream primitives ----
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'src>> {
         self.toks.get(self.pos)
     }
 
@@ -101,8 +104,8 @@ impl Parser {
         Span::at(self.line())
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).cloned();
+    fn bump(&mut self) -> Option<Token<'src>> {
+        let t = self.toks.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
@@ -824,7 +827,7 @@ impl Parser {
             name.push('\\');
         }
         match self.peek_kind() {
-            Some(K::Identifier) => name.push_str(&self.bump().expect("id").text),
+            Some(K::Identifier) => name.push_str(self.bump().expect("id").text),
             Some(K::Static) => {
                 self.bump();
                 name.push_str("static");
@@ -842,7 +845,7 @@ impl Parser {
         while self.at(K::Backslash) && matches!(self.peek_kind_at(1), Some(K::Identifier)) {
             self.bump();
             name.push('\\');
-            name.push_str(&self.bump().expect("id").text);
+            name.push_str(self.bump().expect("id").text);
         }
         Some(name)
     }
@@ -1242,7 +1245,7 @@ impl Parser {
             }
             K::ConstantEncapsedString => {
                 let t = self.bump().expect("str");
-                Expr::Lit(Lit::Str(strip_quotes(&t.text).into()), Span::at(t.line))
+                Expr::Lit(Lit::Str(strip_quotes(t.text).into()), Span::at(t.line))
             }
             K::DoubleQuote => {
                 self.bump();
@@ -1672,9 +1675,8 @@ impl Parser {
                         Some(K::Identifier) => Member::Name(self.bump().expect("id").sym),
                         // Keywords are valid member names in PHP (`$q->list`).
                         Some(kk)
-                            if php_lexer::keyword_kind(
-                                self.peek().map(|t| t.text.as_str()).unwrap_or(""),
-                            ) == Some(kk) =>
+                            if php_lexer::keyword_kind(self.peek().map_or("", |t| t.text))
+                                == Some(kk) =>
                         {
                             Member::Name(self.bump().expect("kw").symbol())
                         }
@@ -1796,7 +1798,7 @@ impl Parser {
                                 let it = self.bump().expect("id");
                                 // The lexer may have captured quotes in a
                                 // sloppy `$a['k']` simple-syntax index.
-                                let lit = Expr::Lit(Lit::Str(strip_quotes(&it.text).into()), span);
+                                let lit = Expr::Lit(Lit::Str(strip_quotes(it.text).into()), span);
                                 Some(self.expr(lit))
                             }
                             _ => None,

@@ -1,25 +1,27 @@
-//! A character cursor over source text with line tracking and lookahead.
+//! A byte cursor over borrowed source text with line tracking.
 
-use std::sync::Arc;
-
-/// Cursor used by the lexer: a byte offset into shared source text.
+/// Cursor used by the lexer: a byte offset into the borrowed source.
 ///
-/// The source sits behind an [`Arc`] so the speculative cursor clones the
-/// lexer takes (cast probing, interpolation scanning) copy two integers
-/// instead of the whole file, and [`Cursor::slice_from`] lets token text
-/// be materialized as one exact-capacity copy of the consumed region
-/// rather than a char-by-char rebuild.
-#[derive(Debug, Clone)]
-pub(crate) struct Cursor {
-    src: Arc<str>,
+/// The cursor is `Copy`, so the speculative probes the lexer takes (cast
+/// probing, interpolation scanning) copy three words, and
+/// [`Cursor::slice_from`] hands out token text as a slice of the input
+/// with the input's lifetime.
+///
+/// Every position the lexer stops at is either an ASCII byte, the end of
+/// input, or the end of a run of bytes `>= 0x80`; UTF-8 continuation bytes
+/// are all `>= 0x80`, so every stop is a char boundary and slicing the
+/// source never splits a character.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cursor<'src> {
+    src: &'src str,
     pos: usize,
     line: u32,
 }
 
-impl Cursor {
-    pub(crate) fn new(src: &str) -> Self {
+impl<'src> Cursor<'src> {
+    pub(crate) fn new(src: &'src str) -> Self {
         Cursor {
-            src: Arc::from(src),
+            src,
             pos: 0,
             line: 1,
         }
@@ -37,99 +39,64 @@ impl Cursor {
 
     /// The source text between `start` (an earlier [`Cursor::pos`]) and the
     /// current position.
-    pub(crate) fn slice_from(&self, start: usize) -> &str {
+    pub(crate) fn slice_from(&self, start: usize) -> &'src str {
         &self.src[start..self.pos]
+    }
+
+    /// The unconsumed input as bytes.
+    pub(crate) fn rest(&self) -> &'src [u8] {
+        &self.src.as_bytes()[self.pos..]
     }
 
     pub(crate) fn is_eof(&self) -> bool {
         self.pos >= self.src.len()
     }
 
-    /// Peeks `n` characters ahead (0 = current).
-    pub(crate) fn peek_at(&self, n: usize) -> Option<char> {
-        self.src[self.pos..].chars().nth(n)
+    /// The byte `n` positions ahead (0 = current).
+    pub(crate) fn byte_at(&self, n: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + n).copied()
     }
 
-    pub(crate) fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+    /// The current byte.
+    pub(crate) fn byte(&self) -> Option<u8> {
+        self.byte_at(0)
     }
 
-    /// Consumes and returns the current character, tracking newlines.
-    pub(crate) fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-        }
-        Some(c)
-    }
-
-    /// Consumes the current char if it equals `c`.
-    pub(crate) fn eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c) {
-            self.bump();
+    /// Consumes the current byte if it equals `b`.
+    pub(crate) fn eat(&mut self, b: u8) -> bool {
+        if self.byte() == Some(b) {
+            self.advance(1);
             true
         } else {
             false
         }
     }
 
-    /// True if the upcoming characters match `s` (ASCII case-insensitive
-    /// when `ci` is set). `s` must be ASCII, which every caller's pattern is.
+    /// True if the upcoming bytes match `s` (ASCII case-insensitive when
+    /// `ci` is set).
     pub(crate) fn starts_with(&self, s: &str, ci: bool) -> bool {
-        let rest = self.src.as_bytes();
-        let (pat, n) = (s.as_bytes(), s.len());
-        if self.pos + n > rest.len() {
-            return false;
-        }
-        let have = &rest[self.pos..self.pos + n];
-        if ci {
-            have.eq_ignore_ascii_case(pat)
-        } else {
-            have == pat
+        match self.rest().get(..s.len()) {
+            Some(have) if ci => have.eq_ignore_ascii_case(s.as_bytes()),
+            Some(have) => have == s.as_bytes(),
+            None => false,
         }
     }
 
-    /// Consumes `n` characters, maintaining line counts.
+    /// Consumes `n` bytes (clamped to the end of input), counting the
+    /// newlines among them.
     pub(crate) fn advance(&mut self, n: usize) {
-        for _ in 0..n {
-            if self.bump().is_none() {
-                break;
-            }
-        }
+        let end = (self.pos + n).min(self.src.len());
+        let skipped = &self.src.as_bytes()[self.pos..end];
+        self.line += skipped.iter().filter(|&&b| b == b'\n').count() as u32;
+        self.pos = end;
     }
 
-    /// Consumes characters while `pred` holds, returning the consumed text.
-    pub(crate) fn eat_while(&mut self, pred: impl FnMut(char) -> bool) -> String {
-        let start = self.pos;
-        self.skip_while(pred);
-        self.src[start..self.pos].to_string()
-    }
-
-    /// Consumes characters while `pred` holds without materializing text;
-    /// pair with [`Cursor::slice_from`] to read the region. ASCII bytes
-    /// take a decode-free fast path — this runs per character of every
-    /// identifier, number, and whitespace run.
-    pub(crate) fn skip_while(&mut self, mut pred: impl FnMut(char) -> bool) {
-        let bytes = self.src.as_bytes();
-        while self.pos < bytes.len() {
-            let b = bytes[self.pos];
-            if b < 0x80 {
-                if !pred(b as char) {
-                    break;
-                }
-                self.pos += 1;
-                if b == b'\n' {
-                    self.line += 1;
-                }
-            } else {
-                let c = self.src[self.pos..].chars().next().expect("utf8 boundary");
-                if !pred(c) {
-                    break;
-                }
-                self.pos += c.len_utf8();
-            }
-        }
+    /// Consumes bytes while `pred` holds, tracking newlines. The predicate
+    /// must accept either all or none of the bytes `>= 0x80` so the cursor
+    /// stops on a char boundary.
+    pub(crate) fn skip_while(&mut self, mut pred: impl FnMut(u8) -> bool) {
+        let n = self.rest().iter().position(|&b| !pred(b));
+        self.advance(n.unwrap_or(self.src.len() - self.pos));
     }
 }
 
@@ -138,15 +105,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tracks_lines_across_bumps() {
+    fn tracks_lines_across_advances() {
         let mut c = Cursor::new("a\nb\nc");
         assert_eq!(c.line(), 1);
-        c.bump(); // a
-        c.bump(); // \n
+        c.advance(2); // a, \n
         assert_eq!(c.line(), 2);
         c.advance(2); // b, \n
         assert_eq!(c.line(), 3);
-        assert_eq!(c.bump(), Some('c'));
+        assert_eq!(c.byte(), Some(b'c'));
+        c.advance(5);
         assert!(c.is_eof());
     }
 
@@ -156,28 +123,29 @@ mod tests {
         assert!(c.starts_with("<?php", true));
         assert!(!c.starts_with("<?php", false));
         assert!(c.starts_with("<?PHP", false));
+        assert!(!c.starts_with("<?PHP echo!", false));
     }
 
     #[test]
-    fn eat_while_stops_at_predicate_boundary() {
+    fn skip_while_stops_at_predicate_boundary() {
         let mut c = Cursor::new("abc123");
-        let word = c.eat_while(|ch| ch.is_ascii_alphabetic());
-        assert_eq!(word, "abc");
-        assert_eq!(c.peek(), Some('1'));
+        c.skip_while(|b| b.is_ascii_alphabetic());
+        assert_eq!(c.slice_from(0), "abc");
+        assert_eq!(c.byte(), Some(b'1'));
     }
 
     #[test]
-    fn handles_multibyte_chars() {
-        let mut c = Cursor::new("éé$x");
-        c.advance(2);
-        assert_eq!(c.peek(), Some('$'));
-    }
-
-    #[test]
-    fn slice_from_reproduces_consumed_text() {
+    fn skip_while_crosses_multibyte_chars_whole() {
         let mut c = Cursor::new("héllo world");
-        let start = c.pos();
-        c.skip_while(|ch| !ch.is_whitespace());
-        assert_eq!(c.slice_from(start), "héllo");
+        c.skip_while(|b| b != b' ');
+        assert_eq!(c.slice_from(0), "héllo");
+    }
+
+    #[test]
+    fn skip_while_counts_newlines() {
+        let mut c = Cursor::new(" \n\t\n x");
+        c.skip_while(|b| b.is_ascii_whitespace());
+        assert_eq!(c.line(), 3);
+        assert_eq!(c.byte(), Some(b'x'));
     }
 }

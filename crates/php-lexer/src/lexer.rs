@@ -6,11 +6,19 @@
 //! the `text` of every token reproduces the input exactly; the
 //! `phpsafe` analyzer and both baselines depend on this when mapping findings
 //! back to source lines.
+//!
+//! The scanner works on bytes, as PHP's does: dispatch is on the ASCII
+//! byte, every byte `>= 0x80` is a label character, and runs of inline
+//! HTML, comment bodies and string bodies are found with slice searches
+//! rather than a char-by-char loop. Token text is a slice of the input,
+//! so lexing allocates only the output vector.
 
 use crate::cursor::Cursor;
 use crate::token::{keyword_kind, Token, TokenKind};
 
 /// Lexes a complete PHP source file (starting in HTML mode, as PHP does).
+///
+/// The tokens borrow their text from `src`.
 ///
 /// # Examples
 ///
@@ -19,7 +27,7 @@ use crate::token::{keyword_kind, Token, TokenKind};
 /// let toks = tokenize("<?php echo $_GET['id']; ?>");
 /// assert!(toks.iter().any(|t| t.kind == TokenKind::Variable && t.text == "$_GET"));
 /// ```
-pub fn tokenize(src: &str) -> Vec<Token> {
+pub fn tokenize(src: &str) -> Vec<Token<'_>> {
     let _span = phpsafe_obs::span!("stage.lex", src);
     let toks = Lexer::new(src).run();
     phpsafe_obs::count("lex.files", 1);
@@ -28,49 +36,47 @@ pub fn tokenize(src: &str) -> Vec<Token> {
 }
 
 /// Lexes source and drops trivia (whitespace/comments), the view parsers use.
-pub fn tokenize_significant(src: &str) -> Vec<Token> {
+pub fn tokenize_significant(src: &str) -> Vec<Token<'_>> {
     let mut toks = tokenize(src);
     toks.retain(|t| !t.kind.is_trivia());
     toks
 }
 
 /// What terminates an interpolated scanning region.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum InterpEnd {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InterpEnd<'src> {
     DoubleQuote,
     Backtick,
-    Heredoc(String),
+    Heredoc(&'src str),
 }
 
 /// Streaming PHP lexer. Construct with [`Lexer::new`], consume with
 /// [`Lexer::run`].
 #[derive(Debug)]
-pub struct Lexer {
-    cur: Cursor,
-    out: Vec<Token>,
+pub struct Lexer<'src> {
+    cur: Cursor<'src>,
+    out: Vec<Token<'src>>,
 }
 
-impl Lexer {
+impl<'src> Lexer<'src> {
     /// Creates a lexer over `src`.
-    pub fn new(src: &str) -> Self {
+    pub fn new(src: &'src str) -> Self {
         Lexer {
             cur: Cursor::new(src),
-            // PHP source averages well under one token per 4 bytes; one
-            // up-front guess avoids the doubling-regrowth copies.
-            out: Vec::with_capacity(src.len() / 4),
+            // Plugin code averages about 2.5 bytes per token; one up-front
+            // guess avoids the doubling-regrowth copies.
+            out: Vec::with_capacity(src.len() / 2),
         }
     }
 
     /// Runs the lexer to completion, returning the token stream.
-    pub fn run(mut self) -> Vec<Token> {
+    pub fn run(mut self) -> Vec<Token<'src>> {
         while !self.cur.is_eof() {
             self.lex_html_until_open_tag();
             // Inside PHP until a close tag flips us back to HTML mode.
             while !self.cur.is_eof() {
                 if self.cur.starts_with("?>", false) {
-                    let line = self.cur.line();
-                    self.cur.advance(2);
-                    self.push(TokenKind::CloseTag, "?>", line);
+                    self.emit_n(TokenKind::CloseTag, 2);
                     break;
                 }
                 self.lex_php_token();
@@ -79,503 +85,328 @@ impl Lexer {
         self.out
     }
 
-    fn push(&mut self, kind: TokenKind, text: impl Into<String>, line: u32) {
-        self.out.push(Token::new(kind, text, line));
+    /// The cursor's byte offset and line: where the next token starts.
+    fn mark(&self) -> (usize, u32) {
+        (self.cur.pos(), self.cur.line())
     }
 
-    /// HTML mode: consume inline HTML until an open tag (or EOF).
-    fn lex_html_until_open_tag(&mut self) {
-        let line = self.cur.line();
-        let start = self.cur.pos();
-        loop {
-            if self.cur.is_eof() {
-                break;
-            }
-            if self.cur.starts_with("<?", false) {
-                if self.cur.pos() > start {
-                    let html = self.cur.slice_from(start).to_string();
-                    self.push(TokenKind::InlineHtml, html, line);
-                }
-                let tag_line = self.cur.line();
-                if self.cur.starts_with("<?php", true) {
-                    self.cur.advance(5);
-                    self.push(TokenKind::OpenTag, "<?php", tag_line);
-                } else if self.cur.starts_with("<?=", false) {
-                    self.cur.advance(3);
-                    self.push(TokenKind::OpenTagWithEcho, "<?=", tag_line);
-                } else {
-                    self.cur.advance(2);
-                    self.push(TokenKind::OpenTag, "<?", tag_line);
-                }
-                return;
-            }
-            self.cur.bump();
-        }
+    /// Pushes a token spanning `start` to the cursor.
+    fn emit(&mut self, kind: TokenKind, start: usize, line: u32) {
+        self.out
+            .push(Token::new(kind, self.cur.slice_from(start), line));
+    }
+
+    /// Consumes the next `n` bytes as one token.
+    fn emit_n(&mut self, kind: TokenKind, n: usize) {
+        let (start, line) = self.mark();
+        self.cur.advance(n);
+        self.emit(kind, start, line);
+    }
+
+    /// Pushes a token spanning `start` to the cursor, if non-empty.
+    fn emit_nonempty(&mut self, kind: TokenKind, start: usize, line: u32) {
         if self.cur.pos() > start {
-            let html = self.cur.slice_from(start).to_string();
-            self.push(TokenKind::InlineHtml, html, line);
+            self.emit(kind, start, line);
+        }
+    }
+
+    /// Pushes the pending `T_ENCAPSED_AND_WHITESPACE` run, if non-empty.
+    fn emit_run(&mut self, start: usize, line: u32) {
+        self.emit_nonempty(TokenKind::EncapsedAndWhitespace, start, line);
+    }
+
+    /// HTML mode: consume inline HTML up to an open tag (or EOF), then the
+    /// tag itself.
+    fn lex_html_until_open_tag(&mut self) {
+        let (start, line) = self.mark();
+        let rest = self.cur.rest();
+        let html_len = find_pair(rest, b'<', b'?').unwrap_or(rest.len());
+        self.cur.advance(html_len);
+        self.emit_nonempty(TokenKind::InlineHtml, start, line);
+        if self.cur.is_eof() {
+            return;
+        }
+        if self.cur.starts_with("<?php", true) {
+            self.emit_n(TokenKind::OpenTag, 5);
+        } else if self.cur.starts_with("<?=", false) {
+            self.emit_n(TokenKind::OpenTagWithEcho, 3);
+        } else {
+            self.emit_n(TokenKind::OpenTag, 2);
         }
     }
 
     /// Lexes exactly one PHP-mode token (never called at `?>` or EOF).
     fn lex_php_token(&mut self) {
-        let line = self.cur.line();
-        let c = match self.cur.peek() {
-            Some(c) => c,
-            None => return,
-        };
-
-        // Whitespace
-        if c.is_whitespace() {
-            let ws = self.cur.eat_while(|ch| ch.is_whitespace());
-            self.push(TokenKind::Whitespace, ws, line);
-            return;
-        }
-
-        // Comments
-        if self.cur.starts_with("/**", false) && self.cur.peek_at(3) != Some('/') {
-            let text = self.block_comment();
-            self.push(TokenKind::DocComment, text, line);
-            return;
-        }
-        if self.cur.starts_with("/*", false) {
-            let text = self.block_comment();
-            self.push(TokenKind::Comment, text, line);
-            return;
-        }
-        if self.cur.starts_with("//", false) || c == '#' {
-            let text = self.line_comment();
-            self.push(TokenKind::Comment, text, line);
-            return;
-        }
-
-        // Variables
-        if c == '$' {
-            if matches!(self.cur.peek_at(1), Some(n) if is_ident_start(n)) {
-                let start = self.cur.pos();
-                self.cur.bump();
+        use TokenKind as K;
+        let (start, line) = self.mark();
+        let Some(b) = self.cur.byte() else { return };
+        let next = self.cur.byte_at(1);
+        match b {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                self.cur.skip_while(is_php_space);
+                self.emit(K::Whitespace, start, line);
+            }
+            b'/' if next == Some(b'*') => {
+                let doc = self.cur.byte_at(2) == Some(b'*') && self.cur.byte_at(3) != Some(b'/');
+                let body = &self.cur.rest()[2..];
+                let close = find_pair(body, b'*', b'/').map_or(body.len(), |i| i + 2);
+                self.cur.advance(2 + close);
+                self.emit(if doc { K::DocComment } else { K::Comment }, start, line);
+            }
+            b'/' if next == Some(b'/') => self.lex_line_comment(start, line),
+            b'#' => self.lex_line_comment(start, line),
+            b'$' => {
+                self.cur.advance(1);
+                if next.is_some_and(is_ident_start) {
+                    self.cur.skip_while(is_ident_continue);
+                    self.emit(K::Variable, start, line);
+                } else {
+                    self.emit(K::Dollar, start, line);
+                }
+            }
+            b'0'..=b'9' => self.lex_number(start, line),
+            b'.' if next.is_some_and(|d| d.is_ascii_digit()) => self.lex_number(start, line),
+            _ if is_ident_start(b) => {
                 self.cur.skip_while(is_ident_continue);
-                let name = self.cur.slice_from(start).to_string();
-                self.push(TokenKind::Variable, name, line);
-            } else {
-                self.cur.bump();
-                self.push(TokenKind::Dollar, "$", line);
+                let kind = keyword_kind(self.cur.slice_from(start)).unwrap_or(K::Identifier);
+                self.emit(kind, start, line);
             }
-            return;
-        }
-
-        // Numbers
-        if c.is_ascii_digit()
-            || (c == '.' && matches!(self.cur.peek_at(1), Some(d) if d.is_ascii_digit()))
-        {
-            self.lex_number(line);
-            return;
-        }
-
-        // Identifiers / keywords / magic constants
-        if is_ident_start(c) {
-            let word = self.cur.eat_while(is_ident_continue);
-            let kind = keyword_kind(&word).unwrap_or(TokenKind::Identifier);
-            self.push(kind, word, line);
-            return;
-        }
-
-        // Strings
-        if c == '\'' {
-            self.lex_single_quoted(line);
-            return;
-        }
-        if c == '"' {
-            self.lex_double_quoted(line);
-            return;
-        }
-        if c == '`' {
-            self.cur.bump();
-            self.push(TokenKind::Backtick, "`", line);
-            self.lex_interpolated(InterpEnd::Backtick);
-            return;
-        }
-        if self.cur.starts_with("<<<", false) {
-            self.lex_heredoc(line);
-            return;
-        }
-
-        // Casts: "(" ws* keyword ws* ")"
-        if c == '(' {
-            if let Some((kind, text)) = self.try_cast() {
-                self.push(kind, text, line);
-                return;
+            b'\'' => {
+                self.cur.advance(quoted_len(self.cur.rest(), b'\''));
+                self.emit(K::ConstantEncapsedString, start, line);
             }
-        }
-
-        // Operators & punctuation
-        self.lex_operator(line);
-    }
-
-    fn block_comment(&mut self) -> String {
-        let start = self.cur.pos();
-        self.cur.advance(2); // "/*"
-        loop {
-            if self.cur.is_eof() {
-                break;
-            }
-            if self.cur.starts_with("*/", false) {
-                self.cur.advance(2);
-                break;
-            }
-            self.cur.bump();
-        }
-        self.cur.slice_from(start).to_string()
-    }
-
-    fn line_comment(&mut self) -> String {
-        let start = self.cur.pos();
-        loop {
-            match self.cur.peek() {
-                None => break,
-                Some('\n') => break,
-                // A line comment ends at a close tag, which must be re-lexed.
-                _ if self.cur.starts_with("?>", false) => break,
-                Some(_) => {
-                    self.cur.bump();
+            // A double-quoted string stays one `T_CONSTANT_ENCAPSED_STRING`
+            // when free of interpolation; otherwise it is `"` +
+            // interpolation parts + `"`, exactly as PHP emits it.
+            b'"' => match plain_double_quoted_len(self.cur.rest()) {
+                Some(n) => {
+                    self.cur.advance(n);
+                    self.emit(K::ConstantEncapsedString, start, line);
                 }
+                None => {
+                    self.emit_n(K::DoubleQuote, 1);
+                    self.lex_interpolated(InterpEnd::DoubleQuote);
+                }
+            },
+            b'`' => {
+                self.emit_n(K::Backtick, 1);
+                self.lex_interpolated(InterpEnd::Backtick);
             }
+            b'<' if self.cur.starts_with("<<<", false) => self.lex_heredoc(start, line),
+            b'(' => match self.try_cast() {
+                Some(kind) => self.emit(kind, start, line),
+                None => self.lex_operator(b, start, line),
+            },
+            _ => self.lex_operator(b, start, line),
         }
-        self.cur.slice_from(start).to_string()
     }
 
-    fn lex_number(&mut self, line: u32) {
-        let start = self.cur.pos();
-        if self.cur.starts_with("0x", true) || self.cur.starts_with("0X", false) {
+    fn lex_line_comment(&mut self, start: usize, line: u32) {
+        self.cur.advance(line_comment_len(self.cur.rest()));
+        self.emit(TokenKind::Comment, start, line);
+    }
+
+    fn lex_number(&mut self, start: usize, line: u32) {
+        let kind = if self.cur.starts_with("0x", true) {
             self.cur.advance(2);
-            self.cur.skip_while(|c| c.is_ascii_hexdigit() || c == '_');
-            let text = self.cur.slice_from(start).to_string();
-            self.push(TokenKind::LNumber, text, line);
-            return;
-        }
-        if self.cur.starts_with("0b", true) {
-            self.cur.advance(2);
-            self.cur.skip_while(|c| c == '0' || c == '1' || c == '_');
-            let text = self.cur.slice_from(start).to_string();
-            self.push(TokenKind::LNumber, text, line);
-            return;
-        }
-        let mut is_float = false;
-        self.cur.skip_while(|c| c.is_ascii_digit());
-        if self.cur.peek() == Some('.')
-            && matches!(self.cur.peek_at(1), Some(d) if d.is_ascii_digit())
-        {
-            is_float = true;
-            self.cur.bump();
-            self.cur.skip_while(|c| c.is_ascii_digit());
-        } else if self.cur.peek() == Some('.') && self.cur.pos() == start {
-            // ".5" style float
-            is_float = true;
-            self.cur.bump();
-            self.cur.skip_while(|c| c.is_ascii_digit());
-        }
-        if matches!(self.cur.peek(), Some('e') | Some('E')) {
-            let mut k = 1;
-            if matches!(self.cur.peek_at(1), Some('+') | Some('-')) {
-                k = 2;
-            }
-            if matches!(self.cur.peek_at(k), Some(d) if d.is_ascii_digit()) {
-                is_float = true;
-                self.cur.advance(k);
-                self.cur.skip_while(|c| c.is_ascii_digit());
-            }
-        }
-        let kind = if is_float {
-            TokenKind::DNumber
-        } else {
+            self.cur.skip_while(|b| b.is_ascii_hexdigit() || b == b'_');
             TokenKind::LNumber
-        };
-        let text = self.cur.slice_from(start).to_string();
-        self.push(kind, text, line);
-    }
-
-    fn lex_single_quoted(&mut self, line: u32) {
-        let start = self.cur.pos();
-        self.cur.bump(); // opening quote
-        loop {
-            match self.cur.peek() {
-                None => break,
-                Some('\\') => {
-                    self.cur.bump();
-                    self.cur.bump();
-                }
-                Some('\'') => {
-                    self.cur.bump();
-                    break;
-                }
-                Some(_) => {
-                    self.cur.bump();
+        } else if self.cur.starts_with("0b", true) {
+            self.cur.advance(2);
+            self.cur.skip_while(|b| b == b'0' || b == b'1' || b == b'_');
+            TokenKind::LNumber
+        } else {
+            let mut is_float = false;
+            self.cur.skip_while(|b| b.is_ascii_digit());
+            // "1.5", or ".5" when the token starts at the dot.
+            if self.cur.byte() == Some(b'.')
+                && (self.cur.byte_at(1).is_some_and(|d| d.is_ascii_digit())
+                    || self.cur.pos() == start)
+            {
+                is_float = true;
+                self.cur.advance(1);
+                self.cur.skip_while(|b| b.is_ascii_digit());
+            }
+            if matches!(self.cur.byte(), Some(b'e' | b'E')) {
+                let k = if matches!(self.cur.byte_at(1), Some(b'+' | b'-')) {
+                    2
+                } else {
+                    1
+                };
+                if self.cur.byte_at(k).is_some_and(|d| d.is_ascii_digit()) {
+                    is_float = true;
+                    self.cur.advance(k);
+                    self.cur.skip_while(|b| b.is_ascii_digit());
                 }
             }
-        }
-        let text = self.cur.slice_from(start).to_string();
-        self.push(TokenKind::ConstantEncapsedString, text, line);
-    }
-
-    /// Double-quoted strings: emitted as a single
-    /// `T_CONSTANT_ENCAPSED_STRING` when free of interpolation, otherwise as
-    /// `"` + interpolation parts + `"`, exactly as PHP does.
-    fn lex_double_quoted(&mut self, line: u32) {
-        // Scan ahead (on a cheap cursor clone — the source is shared) to
-        // decide whether the string interpolates, so simple strings stay
-        // one token.
-        let start = self.cur.pos();
-        let mut probe = self.cur.clone();
-        probe.bump(); // opening quote
-        let mut interpolates = false;
-        let mut closed = false;
-        loop {
-            match probe.peek() {
-                None => break,
-                Some('\\') => {
-                    probe.bump();
-                    probe.bump();
-                }
-                Some('"') => {
-                    probe.bump();
-                    closed = true;
-                    break;
-                }
-                Some('$') => {
-                    if matches!(probe.peek_at(1), Some(n) if is_ident_start(n) || n == '{') {
-                        interpolates = true;
-                    }
-                    probe.bump();
-                }
-                Some('{') => {
-                    if probe.peek_at(1) == Some('$') {
-                        interpolates = true;
-                    }
-                    probe.bump();
-                }
-                Some(_) => {
-                    probe.bump();
-                }
-            }
-        }
-        if !interpolates {
-            // Commit the probe's progress.
-            self.cur = probe;
-            let raw = self.cur.slice_from(start).to_string();
-            let kind = if closed || !raw.is_empty() {
-                TokenKind::ConstantEncapsedString
+            if is_float {
+                TokenKind::DNumber
             } else {
-                TokenKind::Unknown
-            };
-            self.push(kind, raw, line);
-            return;
-        }
-        self.cur.bump(); // opening quote
-        self.push(TokenKind::DoubleQuote, "\"", line);
-        self.lex_interpolated(InterpEnd::DoubleQuote);
+                TokenKind::LNumber
+            }
+        };
+        self.emit(kind, start, line);
     }
 
-    fn lex_heredoc(&mut self, line: u32) {
-        let start = self.cur.pos();
+    fn lex_heredoc(&mut self, start: usize, line: u32) {
         self.cur.advance(3); // "<<<"
-        self.cur.skip_while(|c| c == ' ' || c == '\t');
-        let mut nowdoc = false;
-        let mut quoted = false;
-        if self.cur.eat('\'') {
-            nowdoc = true;
-        } else if self.cur.eat('"') {
-            quoted = true;
-        }
-        let label = self.cur.eat_while(is_ident_continue);
+        self.cur.skip_while(|b| b == b' ' || b == b'\t');
+        let nowdoc = self.cur.eat(b'\'');
+        let quoted = !nowdoc && self.cur.eat(b'"');
+        let label_start = self.cur.pos();
+        self.cur.skip_while(is_ident_continue);
+        let label = self.cur.slice_from(label_start);
         if nowdoc {
-            self.cur.eat('\'');
+            self.cur.eat(b'\'');
         }
         if quoted {
-            self.cur.eat('"');
+            self.cur.eat(b'"');
         }
-        if self.cur.peek() == Some('\r') {
-            self.cur.bump();
-        }
-        if self.cur.peek() == Some('\n') {
-            self.cur.bump();
-        }
-        let text = self.cur.slice_from(start).to_string();
-        self.push(TokenKind::StartHeredoc, text, line);
+        self.cur.eat(b'\r');
+        self.cur.eat(b'\n');
+        self.emit(TokenKind::StartHeredoc, start, line);
         if nowdoc {
-            // Nowdoc: raw until terminator, no interpolation.
-            let body_start = self.cur.pos();
-            let body_line = self.cur.line();
-            loop {
-                if self.cur.is_eof() {
-                    break;
-                }
-                if self.at_heredoc_end(&label) {
-                    break;
-                }
-                self.cur.bump();
-            }
-            if self.cur.pos() > body_start {
-                let body = self.cur.slice_from(body_start).to_string();
-                self.push(TokenKind::EncapsedAndWhitespace, body, body_line);
-            }
-            let end_line = self.cur.line();
-            self.cur.advance(label.chars().count());
-            self.push(TokenKind::EndHeredoc, label.clone(), end_line);
+            self.lex_nowdoc_body(label);
         } else {
             self.lex_interpolated(InterpEnd::Heredoc(label));
         }
     }
 
-    /// True when the cursor sits at the start of a line containing exactly
-    /// the heredoc terminator label (optionally followed by `;` or `,`).
-    fn at_heredoc_end(&self, label: &str) -> bool {
-        // Must be at start of line: previous char was '\n' — we approximate
-        // by only calling this after consuming a '\n' or at the body start.
-        if !self.cur.starts_with(label, false) {
-            return false;
+    /// Nowdoc: raw text up to a line that starts with the terminator label,
+    /// with no interpolation. Without a terminator the body runs to EOF.
+    fn lex_nowdoc_body(&mut self, label: &str) {
+        let (start, line) = self.mark();
+        let rest = self.cur.rest();
+        let mut at = 0; // start of the current body line
+        let end = loop {
+            if at < rest.len() && at_heredoc_end(&rest[at..], label) {
+                break Some(at);
+            }
+            match rest[at..].iter().position(|&b| b == b'\n') {
+                Some(nl) => at += nl + 1,
+                None => break None,
+            }
+        };
+        self.cur.advance(end.unwrap_or(rest.len()));
+        self.emit_run(start, line);
+        if end.is_some() {
+            self.emit_n(TokenKind::EndHeredoc, label.len());
         }
-        let after = self.cur.peek_at(label.chars().count());
-        matches!(
-            after,
-            None | Some(';') | Some(',') | Some('\n') | Some('\r') | Some(')')
-        )
     }
 
     /// Scans interpolated content (double-quoted string, backtick, heredoc),
     /// emitting `T_ENCAPSED_AND_WHITESPACE` runs, simple `$var` accesses and
     /// `{$ ... }` complex expressions, until the terminator.
-    fn lex_interpolated(&mut self, end: InterpEnd) {
-        let mut run_start = self.cur.pos();
-        let mut run_line = self.cur.line();
-        let mut at_line_start = matches!(end, InterpEnd::Heredoc(_));
-        loop {
-            if self.cur.is_eof() {
-                break;
-            }
+    fn lex_interpolated(&mut self, end: InterpEnd<'src>) {
+        use TokenKind as K;
+        let (mut run_start, mut run_line) = self.mark();
+        let (close, label) = match end {
+            InterpEnd::DoubleQuote => (Some((b'"', K::DoubleQuote)), None),
+            InterpEnd::Backtick => (Some((b'`', K::Backtick)), None),
+            InterpEnd::Heredoc(label) => (None, Some(label)),
+        };
+        // Escapes stay verbatim inside the encapsed run; an empty heredoc
+        // label turns escape skipping off.
+        let escapes = label != Some("");
+        let mut at_line_start = label.is_some();
+        while let Some(b) = self.cur.byte() {
             // Terminator?
-            match &end {
-                InterpEnd::DoubleQuote => {
-                    if self.cur.peek() == Some('"') {
-                        self.flush_encapsed_run(run_start, run_line);
-                        let line = self.cur.line();
-                        self.cur.bump();
-                        self.push(TokenKind::DoubleQuote, "\"", line);
-                        return;
-                    }
+            if let Some((c, kind)) = close {
+                if b == c {
+                    self.emit_run(run_start, run_line);
+                    self.emit_n(kind, 1);
+                    return;
                 }
-                InterpEnd::Backtick => {
-                    if self.cur.peek() == Some('`') {
-                        self.flush_encapsed_run(run_start, run_line);
-                        let line = self.cur.line();
-                        self.cur.bump();
-                        self.push(TokenKind::Backtick, "`", line);
-                        return;
-                    }
-                }
-                InterpEnd::Heredoc(label) => {
-                    if at_line_start && self.at_heredoc_end(label) {
-                        self.flush_encapsed_run(run_start, run_line);
-                        let line = self.cur.line();
-                        self.cur.advance(label.chars().count());
-                        self.push(TokenKind::EndHeredoc, label.clone(), line);
-                        return;
-                    }
+            } else if let Some(label) = label {
+                if at_line_start && at_heredoc_end(self.cur.rest(), label) {
+                    self.emit_run(run_start, run_line);
+                    self.emit_n(K::EndHeredoc, label.len());
+                    return;
                 }
             }
+            let next = self.cur.byte_at(1);
             at_line_start = false;
-            match self.cur.peek() {
-                Some('\\') if end != InterpEnd::Heredoc(String::new()) => {
-                    // Escapes stay verbatim inside the encapsed run.
-                    self.cur.bump();
-                    if let Some(e) = self.cur.bump() {
-                        if e == '\n' {
-                            at_line_start = true;
-                        }
-                    }
-                }
-                Some('$') if matches!(self.cur.peek_at(1), Some(n) if is_ident_start(n)) => {
-                    self.flush_encapsed_run(run_start, run_line);
-                    let line = self.cur.line();
-                    let var_start = self.cur.pos();
-                    self.cur.bump(); // $
-                    self.cur.skip_while(is_ident_continue);
-                    let name = self.cur.slice_from(var_start).to_string();
-                    self.push(TokenKind::Variable, name, line);
-                    // Simple-syntax suffixes: ->prop or [index]
-                    if self.cur.starts_with("->", false)
-                        && matches!(self.cur.peek_at(2), Some(n) if is_ident_start(n))
-                    {
-                        let line = self.cur.line();
-                        self.cur.advance(2);
-                        self.push(TokenKind::ObjectOperator, "->", line);
-                        let prop = self.cur.eat_while(is_ident_continue);
-                        self.push(TokenKind::Identifier, prop, line);
-                    } else if self.cur.peek() == Some('[')
-                        && matches!(
-                            self.cur.peek_at(1),
-                            Some(c) if c == '$' || c == '\'' || c.is_ascii_digit() || is_ident_start(c)
-                        )
-                    {
-                        let line = self.cur.line();
-                        self.cur.bump();
-                        self.push(TokenKind::OpenBracket, "[", line);
-                        // index: $var | number | bareword
-                        if self.cur.peek() == Some('$') {
-                            let idx_start = self.cur.pos();
-                            self.cur.bump();
-                            self.cur.skip_while(is_ident_continue);
-                            let iname = self.cur.slice_from(idx_start).to_string();
-                            self.push(TokenKind::Variable, iname, line);
-                        } else if matches!(self.cur.peek(), Some(d) if d.is_ascii_digit()) {
-                            let num = self.cur.eat_while(|c| c.is_ascii_digit());
-                            self.push(TokenKind::LNumber, num, line);
-                        } else {
-                            let word = self.cur.eat_while(|c| is_ident_continue(c) || c == '\'');
-                            self.push(TokenKind::Identifier, word, line);
-                        }
-                        if self.cur.eat(']') {
-                            self.push(TokenKind::CloseBracket, "]", line);
-                        }
-                    }
-                    run_start = self.cur.pos();
-                    run_line = self.cur.line();
-                }
-                Some('{') if self.cur.peek_at(1) == Some('$') => {
-                    self.flush_encapsed_run(run_start, run_line);
-                    let line = self.cur.line();
-                    self.cur.bump();
-                    self.push(TokenKind::CurlyOpen, "{", line);
-                    self.lex_php_until_matching_brace();
-                    run_start = self.cur.pos();
-                    run_line = self.cur.line();
-                }
-                Some('$') if self.cur.peek_at(1) == Some('{') => {
-                    self.flush_encapsed_run(run_start, run_line);
-                    let line = self.cur.line();
+            match b {
+                b'\\' if escapes => {
+                    at_line_start = next == Some(b'\n');
                     self.cur.advance(2);
-                    self.push(TokenKind::DollarOpenCurlyBraces, "${", line);
+                }
+                b'$' if next.is_some_and(is_ident_start) => {
+                    self.emit_run(run_start, run_line);
+                    self.lex_simple_interpolation();
+                    (run_start, run_line) = self.mark();
+                }
+                b'{' if next == Some(b'$') => {
+                    self.emit_run(run_start, run_line);
+                    self.emit_n(K::CurlyOpen, 1);
                     self.lex_php_until_matching_brace();
-                    run_start = self.cur.pos();
-                    run_line = self.cur.line();
+                    (run_start, run_line) = self.mark();
                 }
-                Some(c) => {
-                    if c == '\n' {
-                        at_line_start = true;
-                    }
-                    self.cur.bump();
+                b'$' if next == Some(b'{') => {
+                    self.emit_run(run_start, run_line);
+                    self.emit_n(K::DollarOpenCurlyBraces, 2);
+                    self.lex_php_until_matching_brace();
+                    (run_start, run_line) = self.mark();
                 }
-                None => break,
+                b'\n' => {
+                    at_line_start = true;
+                    self.cur.advance(1);
+                }
+                // Plain text: skip to the next byte any branch above (or a
+                // terminator) could act on.
+                _ => {
+                    let skip = self.cur.rest()[1..]
+                        .iter()
+                        .position(|&b| matches!(b, b'\\' | b'$' | b'{' | b'\n' | b'"' | b'`'));
+                    self.cur
+                        .advance(skip.map_or(self.cur.rest().len(), |i| i + 1));
+                }
             }
         }
-        self.flush_encapsed_run(run_start, run_line);
+        self.emit_run(run_start, run_line);
     }
 
-    /// Emits the pending `T_ENCAPSED_AND_WHITESPACE` run (source text from
-    /// `run_start` to the cursor), if non-empty.
-    fn flush_encapsed_run(&mut self, run_start: usize, run_line: u32) {
-        if self.cur.pos() > run_start {
-            let run = self.cur.slice_from(run_start).to_string();
-            self.push(TokenKind::EncapsedAndWhitespace, run, run_line);
+    /// Simple interpolation syntax at `$name`: the variable plus an
+    /// optional `->prop` or `[index]` suffix.
+    fn lex_simple_interpolation(&mut self) {
+        use TokenKind as K;
+        let (start, line) = self.mark();
+        self.cur.advance(1); // $
+        self.cur.skip_while(is_ident_continue);
+        self.emit(K::Variable, start, line);
+        if self.cur.starts_with("->", false) && self.cur.byte_at(2).is_some_and(is_ident_start) {
+            self.emit_n(K::ObjectOperator, 2);
+            let (start, line) = self.mark();
+            self.cur.skip_while(is_ident_continue);
+            self.emit(K::Identifier, start, line);
+        } else if self.cur.byte() == Some(b'[')
+            && self
+                .cur
+                .byte_at(1)
+                .is_some_and(|c| c == b'$' || c == b'\'' || c.is_ascii_digit() || is_ident_start(c))
+        {
+            self.emit_n(K::OpenBracket, 1);
+            // index: $var | number | bareword
+            let (start, line) = self.mark();
+            let kind = match self.cur.byte() {
+                Some(b'$') => {
+                    self.cur.advance(1);
+                    self.cur.skip_while(is_ident_continue);
+                    K::Variable
+                }
+                Some(d) if d.is_ascii_digit() => {
+                    self.cur.skip_while(|b| b.is_ascii_digit());
+                    K::LNumber
+                }
+                _ => {
+                    self.cur.skip_while(|b| is_ident_continue(b) || b == b'\'');
+                    K::Identifier
+                }
+            };
+            self.emit(kind, start, line);
+            if self.cur.byte() == Some(b']') {
+                self.emit_n(K::CloseBracket, 1);
+            }
         }
     }
 
@@ -583,137 +414,215 @@ impl Lexer {
     /// is emitted as `}`), tracking nesting.
     fn lex_php_until_matching_brace(&mut self) {
         let mut depth = 1usize;
-        while !self.cur.is_eof() {
-            if self.cur.peek() == Some('{') {
-                depth += 1;
-            } else if self.cur.peek() == Some('}') {
+        while let Some(b) = self.cur.byte() {
+            if b == b'}' {
                 depth -= 1;
-                let line = self.cur.line();
-                self.cur.bump();
-                self.push(TokenKind::CloseBrace, "}", line);
+                self.emit_n(TokenKind::CloseBrace, 1);
                 if depth == 0 {
                     return;
                 }
                 continue;
+            }
+            if b == b'{' {
+                depth += 1;
             }
             self.lex_php_token();
         }
     }
 
     /// Attempts to lex a cast like `(int)`; restores the cursor on failure.
-    fn try_cast(&mut self) -> Option<(TokenKind, String)> {
-        let snapshot = self.cur.clone();
-        let start = self.cur.pos();
-        self.cur.bump(); // (
-        self.cur.skip_while(|c| c == ' ' || c == '\t');
+    fn try_cast(&mut self) -> Option<TokenKind> {
+        const CASTS: [(&str, TokenKind); 12] = [
+            ("int", TokenKind::IntCast),
+            ("integer", TokenKind::IntCast),
+            ("float", TokenKind::DoubleCast),
+            ("double", TokenKind::DoubleCast),
+            ("real", TokenKind::DoubleCast),
+            ("string", TokenKind::StringCast),
+            ("binary", TokenKind::StringCast),
+            ("array", TokenKind::ArrayCast),
+            ("object", TokenKind::ObjectCast),
+            ("bool", TokenKind::BoolCast),
+            ("boolean", TokenKind::BoolCast),
+            ("unset", TokenKind::UnsetCast),
+        ];
+        let snapshot = self.cur;
+        self.cur.advance(1); // (
+        self.cur.skip_while(|b| b == b' ' || b == b'\t');
         let word_start = self.cur.pos();
-        self.cur.skip_while(|c| c.is_ascii_alphabetic());
+        self.cur.skip_while(|b| b.is_ascii_alphabetic());
         let word = self.cur.slice_from(word_start);
-        let kind = if word.eq_ignore_ascii_case("int") || word.eq_ignore_ascii_case("integer") {
-            TokenKind::IntCast
-        } else if word.eq_ignore_ascii_case("float")
-            || word.eq_ignore_ascii_case("double")
-            || word.eq_ignore_ascii_case("real")
-        {
-            TokenKind::DoubleCast
-        } else if word.eq_ignore_ascii_case("string") || word.eq_ignore_ascii_case("binary") {
-            TokenKind::StringCast
-        } else if word.eq_ignore_ascii_case("array") {
-            TokenKind::ArrayCast
-        } else if word.eq_ignore_ascii_case("object") {
-            TokenKind::ObjectCast
-        } else if word.eq_ignore_ascii_case("bool") || word.eq_ignore_ascii_case("boolean") {
-            TokenKind::BoolCast
-        } else if word.eq_ignore_ascii_case("unset") {
-            TokenKind::UnsetCast
-        } else {
+        let kind = CASTS
+            .iter()
+            .find(|(w, _)| word.eq_ignore_ascii_case(w))
+            .map(|&(_, k)| k);
+        self.cur.skip_while(|b| b == b' ' || b == b'\t');
+        if kind.is_none() || !self.cur.eat(b')') {
             self.cur = snapshot;
             return None;
-        };
-        self.cur.skip_while(|c| c == ' ' || c == '\t');
-        if self.cur.eat(')') {
-            Some((kind, self.cur.slice_from(start).to_string()))
-        } else {
-            self.cur = snapshot;
-            None
         }
+        kind
     }
 
-    fn lex_operator(&mut self, line: u32) {
+    fn lex_operator(&mut self, b: u8, start: usize, line: u32) {
         use TokenKind::*;
-        // Multi-char operators dispatched on the first char (longest match
+        // Multi-char operators dispatched on the first byte (longest match
         // first within each group) so plain punctuation — the bulk of the
         // operator stream — doesn't scan a global table.
-        let multi: &[(&str, TokenKind)] = match self.cur.peek() {
-            Some('=') => &[("===", Identical), ("==", Equal), ("=>", DoubleArrow)],
-            Some('!') => &[("!==", NotIdentical), ("!=", NotEqual)],
-            Some('<') => &[
+        let multi: &[(&str, TokenKind)] = match b {
+            b'=' => &[("===", Identical), ("==", Equal), ("=>", DoubleArrow)],
+            b'!' => &[("!==", NotIdentical), ("!=", NotEqual)],
+            b'<' => &[
                 ("<<=", SlEqual),
                 ("<<", Sl),
                 ("<=", SmallerOrEqual),
                 ("<>", NotEqual),
             ],
-            Some('>') => &[(">>=", SrEqual), (">>", Sr), (">=", GreaterOrEqual)],
-            Some('.') => &[("...", Ellipsis), (".=", ConcatEqual)],
-            Some('-') => &[("->", ObjectOperator), ("--", Dec), ("-=", MinusEqual)],
-            Some('+') => &[("++", Inc), ("+=", PlusEqual)],
-            Some(':') => &[("::", DoubleColon)],
-            Some('&') => &[("&&", BooleanAnd), ("&=", AndEqual)],
-            Some('|') => &[("||", BooleanOr), ("|=", OrEqual)],
-            Some('*') => &[("**", Pow), ("*=", MulEqual)],
-            Some('/') => &[("/=", DivEqual)],
-            Some('%') => &[("%=", ModEqual)],
-            Some('^') => &[("^=", XorEqual)],
+            b'>' => &[(">>=", SrEqual), (">>", Sr), (">=", GreaterOrEqual)],
+            b'.' => &[("...", Ellipsis), (".=", ConcatEqual)],
+            b'-' => &[("->", ObjectOperator), ("--", Dec), ("-=", MinusEqual)],
+            b'+' => &[("++", Inc), ("+=", PlusEqual)],
+            b':' => &[("::", DoubleColon)],
+            b'&' => &[("&&", BooleanAnd), ("&=", AndEqual)],
+            b'|' => &[("||", BooleanOr), ("|=", OrEqual)],
+            b'*' => &[("**", Pow), ("*=", MulEqual)],
+            b'/' => &[("/=", DivEqual)],
+            b'%' => &[("%=", ModEqual)],
+            b'^' => &[("^=", XorEqual)],
             _ => &[],
         };
-        for (s, k) in multi {
-            if self.cur.starts_with(s, false) {
-                self.cur.advance(s.len());
-                self.push(*k, *s, line);
-                return;
-            }
+        if let Some(&(s, k)) = multi.iter().find(|(s, _)| self.cur.starts_with(s, false)) {
+            self.cur.advance(s.len());
+            self.emit(k, start, line);
+            return;
         }
-        let c = self.cur.bump().expect("operator char");
-        let kind = match c {
-            ';' => Semicolon,
-            ',' => Comma,
-            '(' => OpenParen,
-            ')' => CloseParen,
-            '{' => OpenBrace,
-            '}' => CloseBrace,
-            '[' => OpenBracket,
-            ']' => CloseBracket,
-            '+' => Plus,
-            '-' => Minus,
-            '*' => Star,
-            '/' => Slash,
-            '%' => Percent,
-            '.' => Dot,
-            '=' => Assign,
-            '<' => Lt,
-            '>' => Gt,
-            '!' => Bang,
-            '?' => Question,
-            ':' => Colon,
-            '&' => Amp,
-            '|' => Pipe,
-            '^' => Caret,
-            '~' => Tilde,
-            '@' => At,
-            '$' => Dollar,
-            '\\' => Backslash,
+        let kind = match b {
+            b';' => Semicolon,
+            b',' => Comma,
+            b'(' => OpenParen,
+            b')' => CloseParen,
+            b'{' => OpenBrace,
+            b'}' => CloseBrace,
+            b'[' => OpenBracket,
+            b']' => CloseBracket,
+            b'+' => Plus,
+            b'-' => Minus,
+            b'*' => Star,
+            b'/' => Slash,
+            b'%' => Percent,
+            b'.' => Dot,
+            b'=' => Assign,
+            b'<' => Lt,
+            b'>' => Gt,
+            b'!' => Bang,
+            b'?' => Question,
+            b':' => Colon,
+            b'&' => Amp,
+            b'|' => Pipe,
+            b'^' => Caret,
+            b'~' => Tilde,
+            b'@' => At,
+            b'$' => Dollar,
+            b'\\' => Backslash,
             _ => Unknown,
         };
-        self.push(kind, c.to_string(), line);
+        // Only ASCII reaches here: bytes >= 0x80 always start a label.
+        self.cur.advance(1);
+        self.emit(kind, start, line);
     }
 }
 
-fn is_ident_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_' || (c as u32) >= 0x80
+/// PHP's label start class `[a-zA-Z_\x80-\xff]`.
+fn is_ident_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_' || b >= 0x80
 }
 
-fn is_ident_continue(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_' || (c as u32) >= 0x80
+/// PHP's label class `[a-zA-Z0-9_\x80-\xff]`.
+fn is_ident_continue(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
+}
+
+/// PHP's whitespace class `[ \t\n\r]`.
+fn is_php_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
+}
+
+/// Offset of the first `a` immediately followed by `b`.
+fn find_pair(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+    let mut from = 0;
+    while let Some(i) = bytes[from..].iter().position(|&x| x == a) {
+        let at = from + i;
+        if bytes.get(at + 1) == Some(&b) {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// Length of a line comment: up to (not including) the newline, or a
+/// `?>`, which must be re-lexed as a close tag.
+fn line_comment_len(rest: &[u8]) -> usize {
+    let mut from = 0;
+    while let Some(i) = rest[from..].iter().position(|&b| b == b'\n' || b == b'?') {
+        let at = from + i;
+        if rest[at] == b'\n' || rest.get(at + 1) == Some(&b'>') {
+            return at;
+        }
+        from = at + 1;
+    }
+    rest.len()
+}
+
+/// Length of the string literal opening at `rest[0]`, through its closing
+/// `quote` (or to EOF when unclosed); a backslash escapes the next byte.
+fn quoted_len(rest: &[u8], quote: u8) -> usize {
+    let mut i = 1;
+    while let Some(off) = rest
+        .get(i..)
+        .and_then(|r| r.iter().position(|&b| b == quote || b == b'\\'))
+    {
+        i += off;
+        if rest[i] == quote {
+            return i + 1;
+        }
+        i += 2;
+    }
+    rest.len()
+}
+
+/// Length of the double-quoted string opening at `rest[0]` when nothing in
+/// it interpolates (`$name`, `${`, `{$`); `None` when something does.
+fn plain_double_quoted_len(rest: &[u8]) -> Option<usize> {
+    let mut i = 1;
+    loop {
+        let Some(off) = rest.get(i..).and_then(|r| {
+            r.iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | b'$' | b'{'))
+        }) else {
+            return Some(rest.len());
+        };
+        i += off;
+        let next = rest.get(i + 1).copied();
+        match rest[i] {
+            b'"' => return Some(i + 1),
+            b'\\' => i += 2,
+            b'$' if next.is_some_and(|n| is_ident_start(n) || n == b'{') => return None,
+            b'{' if next == Some(b'$') => return None,
+            _ => i += 1,
+        }
+    }
+}
+
+/// True when `rest` starts with the heredoc terminator `label`, followed
+/// by the end of input or one of `; , ) \n \r`. Callers check that `rest`
+/// begins a line.
+fn at_heredoc_end(rest: &[u8], label: &str) -> bool {
+    rest.starts_with(label.as_bytes())
+        && matches!(
+            rest.get(label.len()),
+            None | Some(b';' | b',' | b'\n' | b'\r' | b')')
+        )
 }
 
 #[cfg(test)]
@@ -728,7 +637,7 @@ mod tests {
             .collect()
     }
 
-    fn texts(src: &str) -> Vec<String> {
+    fn texts(src: &str) -> Vec<&str> {
         tokenize_significant(src)
             .into_iter()
             .map(|t| t.text)
@@ -736,7 +645,7 @@ mod tests {
     }
 
     fn roundtrip(src: &str) {
-        let joined: String = tokenize(src).iter().map(|t| t.text.as_str()).collect();
+        let joined: String = tokenize(src).iter().map(|t| t.text).collect();
         assert_eq!(joined, src, "token texts must reconstruct the source");
     }
 
@@ -900,6 +809,43 @@ mod tests {
     }
 
     #[test]
+    fn nowdoc_terminator_only_matches_at_line_start() {
+        let src = "<?php $s = <<<'EOT'\nfoo EOT;\nbar\nEOT;\n";
+        let t = tokenize_significant(src);
+        let body: Vec<_> = t
+            .iter()
+            .filter(|t| t.kind == K::EncapsedAndWhitespace)
+            .collect();
+        assert_eq!(body.len(), 1);
+        assert_eq!(body[0].text, "foo EOT;\nbar\n");
+        let end = t.iter().find(|t| t.kind == K::EndHeredoc).unwrap();
+        assert_eq!((end.text, end.line), ("EOT", 4));
+        assert_eq!(t.last().unwrap().kind, K::Semicolon);
+        roundtrip(src);
+    }
+
+    #[test]
+    fn unterminated_nowdoc_runs_to_eof() {
+        let src = "<?php <<<'EOT'\nbody $x\n";
+        let t = tokenize(src);
+        assert_eq!(t.last().unwrap().kind, K::EncapsedAndWhitespace);
+        assert!(!t.iter().any(|t| t.kind == K::EndHeredoc));
+        roundtrip(src);
+    }
+
+    #[test]
+    fn whitespace_is_phps_four_bytes() {
+        // Bytes >= 0x80 are label characters, as in token_get_all.
+        let t = tokenize_significant("<?php ;\u{a0}x;");
+        assert_eq!(t[2].kind, K::Identifier);
+        assert_eq!(t[2].text, "\u{a0}x");
+        // Vertical tab and form feed are not whitespace.
+        let k = kinds("<?php \u{b}\u{c};");
+        assert_eq!(k, vec![K::OpenTag, K::Unknown, K::Unknown, K::Semicolon]);
+        roundtrip("<?php \u{2028}$x \r\n\t;");
+    }
+
+    #[test]
     fn comments() {
         let t = tokenize("<?php // line\n# hash\n/* block */ /** doc */ 1;");
         let k: Vec<K> = t.iter().map(|t| t.kind).collect();
@@ -972,6 +918,13 @@ mod tests {
         let t = tokenize("just html, no php");
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].kind, K::InlineHtml);
+    }
+
+    #[test]
+    fn open_tag_text_is_verbatim() {
+        let t = tokenize("<?PHP echo 1;");
+        assert_eq!((t[0].kind, t[0].text), (K::OpenTag, "<?PHP"));
+        roundtrip("<?PhP echo 1;");
     }
 
     #[test]

@@ -446,12 +446,17 @@ impl fmt::Display for TokenKind {
 /// Mirrors the `[id, text, line]` triples of PHP's `token_get_all` (the paper,
 /// §III.B: *"the array has the token identifier, the value of the token and
 /// the line number"*).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Token {
+///
+/// `text` borrows from the source handed to [`crate::tokenize`], so a token
+/// is `Copy` and lexing allocates nothing per token. Tokens never outlive
+/// that source; anything kept past parsing (the AST) holds interned
+/// [`Symbol`]s instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'src> {
     /// Token classification.
     pub kind: TokenKind,
     /// Verbatim text as it appeared in the source.
-    pub text: String,
+    pub text: &'src str,
     /// Interned name for identifier-like tokens ([`TokenKind::Variable`],
     /// [`TokenKind::Identifier`]); [`Symbol::EMPTY`] for everything else.
     /// Interning here means the parser and interpreter never re-hash the
@@ -461,12 +466,11 @@ pub struct Token {
     pub line: u32,
 }
 
-impl Token {
+impl<'src> Token<'src> {
     /// Creates a token, interning identifier/variable names.
-    pub fn new(kind: TokenKind, text: impl Into<String>, line: u32) -> Self {
-        let text = text.into();
+    pub fn new(kind: TokenKind, text: &'src str, line: u32) -> Self {
         let sym = match kind {
-            TokenKind::Variable | TokenKind::Identifier => Symbol::intern(&text),
+            TokenKind::Variable | TokenKind::Identifier => Symbol::intern(text),
             _ => Symbol::EMPTY,
         };
         Token {
@@ -481,14 +485,14 @@ impl Token {
     /// interned on demand (keywords used as member names, magic constants).
     pub fn symbol(&self) -> Symbol {
         if self.sym.is_empty() && !self.text.is_empty() {
-            Symbol::intern(&self.text)
+            Symbol::intern(self.text)
         } else {
             self.sym
         }
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,

@@ -44,7 +44,7 @@ proptest! {
     #[test]
     fn lexing_is_total_and_roundtrips(src in php_soup()) {
         let toks = tokenize(&src);
-        let rebuilt: String = toks.iter().map(|t| t.text.as_str()).collect();
+        let rebuilt: String = toks.iter().map(|t| t.text).collect();
         prop_assert_eq!(rebuilt, src);
     }
 
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn lexing_is_total_on_arbitrary_unicode(src in "\\PC{0,64}") {
         let toks = tokenize(&src);
-        let rebuilt: String = toks.iter().map(|t| t.text.as_str()).collect();
+        let rebuilt: String = toks.iter().map(|t| t.text).collect();
         prop_assert_eq!(rebuilt, src);
     }
 

@@ -10,6 +10,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --workspace --release --offline
 cargo test -q --offline --workspace
 
+# Benchmark harness: a package of its own that calls the lexer and parser
+# directly (tokenize/parse_tokens), so a front-end API break fails here
+# rather than in a benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Observability crate in isolation (its tests also run in the workspace
 # pass above; this keeps a failure attributable).
 cargo test -q --offline -p phpsafe-obs
