@@ -1,11 +1,10 @@
-//! `zero_copy` — what the ZAST v2 borrowed-view warm path and per-function
-//! parallel pre-summarization buy:
+//! `zero_copy` — what the ZAST v2 warm path and per-function parallel
+//! pre-summarization buy:
 //!
 //! 1. **Load paths**: on the largest 2014-corpus file, a cold
-//!    lex-and-parse vs the PAST v1 streaming decode vs the ZAST v2
-//!    validate-and-thaw (one bounds-checked validation pass over the
-//!    `Arc<[u8]>` payload, then a bulk pool relocation). All three must
-//!    produce the same [`php_ast::ParsedFile`].
+//!    lex-and-parse vs [`php_ast::zast::decode_file`] (one checked pass
+//!    that decodes every record once). Both must produce the same
+//!    [`php_ast::ParsedFile`].
 //! 2. **Warm daemon request**: a fresh server process (cold memory) over a
 //!    populated `--cache-dir` answers one analyze request from the
 //!    outcome tier; best-of-N must stay under 5 ms.
@@ -88,26 +87,21 @@ fn main() {
     // --- 1. load paths on the largest corpus file ---
     let (path, src) = largest_corpus_file();
     let parsed = php_ast::parse(&src);
-    let past = php_ast::codec::encode_file(&parsed);
-    let zast: Arc<[u8]> = Arc::from(php_ast::zast::encode_file(&parsed));
-
-    let decoded = php_ast::codec::decode_file(&past).expect("PAST round-trip");
-    assert_eq!(decoded, parsed, "PAST decode must reproduce the parse");
-    let view = php_ast::zast::ParsedFileRef::new(Arc::clone(&zast)).expect("ZAST validates");
-    assert_eq!(view.thaw(), parsed, "ZAST thaw must reproduce the parse");
+    let zast = php_ast::zast::encode_file(&parsed);
+    assert_eq!(
+        php_ast::zast::decode_file(&zast).expect("ZAST decodes"),
+        parsed,
+        "ZAST decode must reproduce the parse"
+    );
 
     let parse_us = time_us(iters, || {
         std::hint::black_box(php_ast::parse(&src));
     });
     let decode_us = time_us(iters, || {
-        std::hint::black_box(php_ast::codec::decode_file(&past).unwrap());
-    });
-    let borrow_us = time_us(iters, || {
-        let view = php_ast::zast::ParsedFileRef::new(Arc::clone(&zast)).unwrap();
-        std::hint::black_box(view.thaw());
+        std::hint::black_box(php_ast::zast::decode_file(&zast).unwrap());
     });
     println!(
-        "load paths ({path}, {} bytes, {} nodes): parse={parse_us}us decode={decode_us}us borrow={borrow_us}us",
+        "load paths ({path}, {} bytes, {} nodes): parse={parse_us}us zast_decode={decode_us}us",
         src.len(),
         parsed.arena.node_count(),
     );
@@ -220,11 +214,10 @@ fn main() {
     );
     let _ = writeln!(
         doc,
-        "  \"load_paths\": {{\"file\": \"{path}\", \"bytes\": {}, \"nodes\": {}, \"cold_parse_us\": {parse_us}, \"past_decode_us\": {decode_us}, \"zast_borrow_us\": {borrow_us}, \"borrow_vs_parse\": {:.2}, \"borrow_vs_decode\": {:.2}}},",
+        "  \"load_paths\": {{\"file\": \"{path}\", \"bytes\": {}, \"nodes\": {}, \"cold_parse_us\": {parse_us}, \"zast_decode_us\": {decode_us}, \"decode_vs_parse\": {:.2}}},",
         src.len(),
         parsed.arena.node_count(),
-        parse_us as f64 / borrow_us.max(1) as f64,
-        decode_us as f64 / borrow_us.max(1) as f64,
+        parse_us as f64 / decode_us.max(1) as f64,
     );
     let _ = writeln!(
         doc,

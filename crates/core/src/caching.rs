@@ -27,24 +27,21 @@ use php_ast::{
 };
 use php_lexer::tokenize;
 use phpsafe_dataflow::TaintGraph;
-use phpsafe_engine::{
-    fnv1a_64, ArtifactCache, CacheCounters, ContentKey, DepGraph, DiskCache, LoadedPayload,
-};
+use phpsafe_engine::{fnv1a_64, ArtifactCache, CacheCounters, ContentKey, DepGraph, DiskCache};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Disk namespace for encoded [`ParsedFile`]s. The envelope's crate
-/// version plus each codec's own magic/version words guard the format, so
-/// the config fingerprint is unused (parsing is configuration-independent).
-///
-/// New entries are written in the zero-copy ZAST v2 layout
-/// ([`php_ast::zast`]); loads dispatch on the payload magic, so PAST v1
-/// entries from older runs still decode through
-/// [`php_ast::codec::decode_file`] instead of being dropped.
+/// Disk namespace for encoded [`ParsedFile`]s, stored in the ZAST v2
+/// layout ([`php_ast::zast`]), the only AST disk format. The envelope's
+/// crate version and the layout's own magic/version words guard the
+/// format.
 pub const AST_NAMESPACE: &str = "ast";
-/// Fingerprint the `ast` namespace is stored under (parsing is
-/// configuration-independent, so a constant).
-pub const AST_FINGERPRINT: u64 = 0;
+/// Fingerprint the `ast` namespace is stored under. Parsing is
+/// configuration-independent, so it is a constant; it is bumped when the
+/// set of readable layouts shrinks, so entries written by older builds
+/// (fingerprint 0: PAST v1 or ZAST v2) are dropped as stale misses and
+/// re-parsed rather than read as corrupt.
+pub const AST_FINGERPRINT: u64 = 1;
 
 /// Flags a [`DiskCache::store`] result at an engine call site. Individual
 /// failures already warn with the exact path and count into
@@ -122,45 +119,21 @@ impl AstCache {
     /// `stage.parse` histograms on misses only (hits cost a hash plus a
     /// map lookup).
     ///
-    /// With a disk tier, a miss first tries the persisted AST. A ZAST v2
-    /// entry is validated once and *borrowed* — a [`ParsedFileRef`] view
-    /// over the loaded buffer whose pools are bulk-relocated without
-    /// re-decoding (counted in `diskcache.borrowed_loads`); an old PAST v1
-    /// entry falls back to the streaming [`decode_file`] path. Validation
-    /// or decode failures drop the entry and fall back to a fresh parse,
-    /// which is written back in the ZAST layout.
-    ///
-    /// [`ParsedFileRef`]: php_ast::zast::ParsedFileRef
-    /// [`decode_file`]: php_ast::codec::decode_file
+    /// With a disk tier, a miss first tries the persisted AST, decoded
+    /// once by [`php_ast::zast::decode_file`] (counted in
+    /// `diskcache.ast_decodes`). A decode failure drops the entry as
+    /// corrupt and falls back to a fresh parse, which is written back.
     pub fn parse(&self, src: &str) -> Arc<ParsedFile> {
         let key = ContentKey::of(src.as_bytes());
         let (ast, _hit) = self.cache.get_or_build(key, || {
             if let Some(disk) = &self.disk {
                 if let Some(loaded) = disk.load_mapped(AST_NAMESPACE, key, AST_FINGERPRINT) {
-                    if php_ast::zast::looks_like(loaded.as_slice()) {
-                        // Mapped entries are validated in place: the view
-                        // borrows the mapping itself, so the only copy on
-                        // the warm path is the final pool relocation.
-                        let payload = match loaded {
-                            LoadedPayload::Mapped { file, offset, len } => {
-                                php_ast::zast::PayloadBytes::from_owner(file, offset, len)
-                            }
-                            LoadedPayload::Owned(bytes) => {
-                                php_ast::zast::PayloadBytes::from_arc(Arc::from(bytes))
-                            }
-                        };
-                        match php_ast::zast::ParsedFileRef::from_bytes(payload) {
-                            Ok(view) => {
-                                phpsafe_obs::count("diskcache.borrowed_loads", 1);
-                                return view.thaw();
-                            }
-                            Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
+                    match php_ast::zast::decode_file(loaded.as_slice()) {
+                        Ok(file) => {
+                            phpsafe_obs::count("diskcache.ast_decodes", 1);
+                            return file;
                         }
-                    } else {
-                        match php_ast::codec::decode_file(loaded.as_slice()) {
-                            Ok(file) => return file,
-                            Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
-                        }
+                        Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
                     }
                 }
             }
@@ -818,6 +791,60 @@ mod tests {
         assert_eq!(*reparsed, php_ast::parse(src), "fell back to a parse");
         let c = disk2.counters();
         assert_eq!(c.corrupt, 1, "{c:?}");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_of_an_ast_entry_reparses() {
+        use phpsafe_engine::DiskCache;
+        let dir = temp_dir("sweep");
+        let src = "<?php $id = $_GET['id']; echo \"<b>$id</b>\";
+            function f($a) { return $a . 'x'; }
+            class C { public $p; function m() { return f($this->p); } }";
+        let expected = parse(src);
+
+        let disk = Arc::new(DiskCache::open(&dir).unwrap());
+        AstCache::with_disk(Arc::clone(&disk)).parse(src);
+        let entries: Vec<_> = std::fs::read_dir(dir.join(AST_NAMESPACE))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(entries.len(), 1, "one stored entry: {entries:?}");
+        let path = &entries[0];
+        let good = std::fs::read(path).unwrap();
+        assert!(good.len() <= 2048, "entry is {} bytes", good.len());
+
+        let mut dropped = 0;
+        let mut check = |bytes: &[u8]| {
+            std::fs::write(path, bytes).unwrap();
+            // A fresh memory tier, so the load goes to the damaged entry.
+            let reloaded = AstCache::with_disk(Arc::clone(&disk)).parse(src);
+            assert_eq!(
+                *reloaded,
+                expected,
+                "mutated entry of {} bytes",
+                bytes.len()
+            );
+            dropped += 1;
+            let c = disk.counters();
+            assert_eq!(c.corrupt + c.evicted, dropped, "every mutation is dropped");
+            assert_eq!(
+                std::fs::read(path).unwrap(),
+                good,
+                "the re-parse is stored again"
+            );
+        };
+        for len in 0..good.len() {
+            check(&good[..len]);
+        }
+        for pos in 0..good.len() {
+            for flip in [0x01u8, 0xff] {
+                let mut bytes = good.clone();
+                bytes[pos] ^= flip;
+                check(&bytes);
+            }
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }

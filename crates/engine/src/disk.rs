@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Magic bytes opening every cache entry.
 const MAGIC: &[u8; 4] = b"PSC1";
@@ -213,7 +213,7 @@ impl DiskCache {
     /// Like [`DiskCache::load`], but serves the payload through a private
     /// read-only memory mapping of the entry file when the platform
     /// supports it — the envelope is validated in place and the returned
-    /// [`LoadedPayload`] borrows the mapping instead of copying the bytes
+    /// [`LoadedPayload`] owns the mapping instead of copying the bytes
     /// into the heap. Any mapping failure falls back to the buffered read
     /// path, so callers see identical semantics everywhere. Mapped hits
     /// are counted as `diskcache.mmap_loads` on top of the usual
@@ -243,11 +243,7 @@ impl DiskCache {
                             phpsafe_obs::count("diskcache.hits", 1);
                             phpsafe_obs::count("diskcache.mmap_loads", 1);
                             phpsafe_obs::time("diskcache.load", started.elapsed());
-                            Some(LoadedPayload::Mapped {
-                                file: Arc::new(file),
-                                offset,
-                                len,
-                            })
+                            Some(LoadedPayload::Mapped { file, offset, len })
                         }
                         Err(reason) => {
                             self.drop_entry(&path, reason);
@@ -493,8 +489,8 @@ mod sys {
 pub enum LoadedPayload {
     /// `len` payload bytes starting at `offset` inside the mapped entry.
     Mapped {
-        /// The mapping keeping the bytes alive.
-        file: Arc<MappedFile>,
+        /// The mapping holding the bytes, unmapped on drop.
+        file: MappedFile,
         /// Payload start inside the mapping.
         offset: usize,
         /// Payload length in bytes.
@@ -509,9 +505,7 @@ impl LoadedPayload {
     /// The payload bytes, regardless of backing.
     pub fn as_slice(&self) -> &[u8] {
         match self {
-            LoadedPayload::Mapped { file, offset, len } => {
-                &file.as_ref().as_ref()[*offset..offset + len]
-            }
+            LoadedPayload::Mapped { file, offset, len } => &file.as_ref()[*offset..offset + len],
             LoadedPayload::Owned(v) => v,
         }
     }

@@ -1,10 +1,10 @@
-//! The zero-copy warm-path and per-function parallelism gate: an analysis
-//! must be byte-identical no matter how its ASTs arrived (cold parse,
-//! PAST v1 streaming decode, ZAST v2 borrowed view) and no matter how its
-//! work was scheduled (serial, 1 or 8 engine workers, per-file or
-//! per-function jobs). The `ast` disk namespace is a cost channel only:
-//! corrupting, mixing or deleting entries may slow a run down but can
-//! never change a table, a figure or an `--explain` chain.
+//! The warm-path and per-function parallelism gate: an analysis must be
+//! byte-identical no matter how its ASTs arrived (cold parse, or a ZAST v2
+//! entry decoded from the disk tier) and no matter how its work was
+//! scheduled (serial, 1 or 8 engine workers, per-file or per-function
+//! jobs). The `ast` disk namespace is a cost channel only: corrupting,
+//! retiring or deleting entries may slow a run down but can never change
+//! a table, a figure or an `--explain` chain.
 
 use phpsafe::caching::{AST_FINGERPRINT, AST_NAMESPACE};
 use phpsafe::{EngineCaches, PhpSafe, PluginProject, SourceFile};
@@ -98,7 +98,7 @@ fn outcomes_identical_across_load_paths_and_function_jobs() {
     let tool = PhpSafe::new();
     let cold = tool.analyze(&project).to_json().unwrap();
 
-    // --- ZAST v2 borrowed-view path ---
+    // --- ZAST v2 disk-load path ---
     let dir = temp_dir("zast");
     {
         // Seeding run: fresh parses, written back in the ZAST layout.
@@ -112,68 +112,78 @@ fn outcomes_identical_across_load_paths_and_function_jobs() {
     let before = phpsafe_obs::snapshot();
     let disk = Arc::new(DiskCache::open(&dir).unwrap());
     let caches = EngineCaches::with_disk(Arc::clone(&disk));
-    let borrowed = tool
+    let decoded = tool
         .analyze_with_caches(&project, Some(&caches))
         .to_json()
         .unwrap();
     assert_eq!(
-        cold, borrowed,
-        "borrowed-view warm run diverged from cold parse"
+        cold, decoded,
+        "disk-loaded warm run diverged from cold parse"
     );
     let delta = phpsafe_obs::snapshot().since(&before);
     assert!(
-        delta.counter("diskcache.borrowed_loads") >= 2,
-        "warm run must serve both probe files as borrowed ZAST views, got {}",
-        delta.counter("diskcache.borrowed_loads")
+        delta.counter("diskcache.ast_decodes") >= 2,
+        "warm run must decode both probe files from the ZAST tier, got {}",
+        delta.counter("diskcache.ast_decodes")
     );
     let dc = disk.counters();
     assert_eq!(dc.corrupt, 0, "no entry may be dropped as corrupt");
     assert_eq!(dc.evicted, 0, "no entry may be dropped as stale");
     assert!(dc.bytes_read > 0, "warm loads must count bytes_read");
 
-    // --- mixed-version dir: PAST v1 entries fall back to decode_file ---
-    let dir2 = temp_dir("mixed");
+    // --- entries under the retired fingerprint are stale misses ---
+    let dir2 = temp_dir("retired");
     let disk2 = Arc::new(DiskCache::open(&dir2).unwrap());
-    // Seed *one* file in the legacy PAST v1 layout, as an old process
-    // would have; leave the other to be freshly parsed and stored as
-    // ZAST v2 — after which the namespace holds both formats at once.
-    let legacy = &project.files()[0];
-    let key = ContentKey::of(legacy.content.as_bytes());
-    let encoded = php_ast::codec::encode_file(&php_ast::parse(&legacy.content));
-    assert!(disk2.store(AST_NAMESPACE, key, AST_FINGERPRINT, &encoded));
+    // Seed both files under fingerprint 0, as an older build would have:
+    // one as a ZAST v2 payload, one as a PAST v1-tagged payload whose
+    // decoder no longer exists. Neither payload may reach a decoder.
+    let old_fingerprint = 0;
+    assert_ne!(old_fingerprint, AST_FINGERPRINT);
+    let zast_file = &project.files()[0];
+    let zast_old = php_ast::zast::encode_file(&php_ast::parse(&zast_file.content));
+    let past_file = &project.files()[1];
+    let past_old = b"PAST\x01 payload from a retired codec";
+    for (file, payload) in [(zast_file, &zast_old[..]), (past_file, &past_old[..])] {
+        let key = ContentKey::of(file.content.as_bytes());
+        assert!(disk2.store(AST_NAMESPACE, key, old_fingerprint, payload));
+    }
     let before = phpsafe_obs::snapshot();
     {
         let caches = EngineCaches::with_disk(Arc::clone(&disk2));
-        let mixed_cold = tool
+        let retired_cold = tool
             .analyze_with_caches(&project, Some(&caches))
             .to_json()
             .unwrap();
-        assert_eq!(cold, mixed_cold, "PAST v1 decode path diverged");
+        assert_eq!(cold, retired_cold, "re-parse of retired entries diverged");
     }
     let delta = phpsafe_obs::snapshot().since(&before);
     assert_eq!(
-        delta.counter("diskcache.borrowed_loads"),
+        delta.counter("diskcache.ast_decodes"),
         0,
-        "the PAST entry must decode, the missing one must parse — neither borrows"
-    );
-    let before = phpsafe_obs::snapshot();
-    {
-        let caches = EngineCaches::with_disk(Arc::clone(&disk2));
-        let mixed_warm = tool
-            .analyze_with_caches(&project, Some(&caches))
-            .to_json()
-            .unwrap();
-        assert_eq!(cold, mixed_warm, "mixed-version warm run diverged");
-    }
-    let delta = phpsafe_obs::snapshot().since(&before);
-    assert_eq!(
-        delta.counter("diskcache.borrowed_loads"),
-        1,
-        "exactly the ZAST entry borrows; the PAST entry keeps decoding"
+        "retired entries must be re-parsed, never decoded"
     );
     let dc2 = disk2.counters();
-    assert_eq!(dc2.corrupt, 0, "a PAST v1 entry must never read as corrupt");
-    assert_eq!(dc2.evicted, 0, "a PAST v1 entry must never read as stale");
+    assert_eq!(
+        dc2.evicted, 2,
+        "both retired entries must be evicted as stale"
+    );
+    assert_eq!(dc2.corrupt, 0, "a retired entry must never read as corrupt");
+    let before = phpsafe_obs::snapshot();
+    {
+        let caches = EngineCaches::with_disk(Arc::clone(&disk2));
+        let rewritten_warm = tool
+            .analyze_with_caches(&project, Some(&caches))
+            .to_json()
+            .unwrap();
+        assert_eq!(cold, rewritten_warm, "re-written entries diverged");
+    }
+    let delta = phpsafe_obs::snapshot().since(&before);
+    assert_eq!(
+        delta.counter("diskcache.ast_decodes"),
+        2,
+        "the re-parsed files were stored under the current fingerprint"
+    );
+    assert_eq!(disk2.counters().evicted, 2, "nothing further goes stale");
 
     // --- a truncated ZAST entry degrades to a re-parse, not a panic ---
     let dir3 = temp_dir("trunc");
@@ -232,10 +242,10 @@ fn outcomes_identical_across_load_paths_and_function_jobs() {
         "expected a chain naming the superglobal source, got:\n{chains_cold}"
     );
     let warm = EngineCaches::with_disk(Arc::new(DiskCache::open(&dir).unwrap()));
-    let chains_borrowed = explain_chains(&tool, &project, Some(&warm));
+    let chains_decoded = explain_chains(&tool, &project, Some(&warm));
     assert_eq!(
-        chains_cold, chains_borrowed,
-        "--explain chains diverged between cold parse and borrowed load"
+        chains_cold, chains_decoded,
+        "--explain chains diverged between cold parse and disk load"
     );
     let fj_tool = PhpSafe::new().with_function_jobs(8);
     let chains_fj = explain_chains(&fj_tool, &project, Some(&EngineCaches::new()));
@@ -252,7 +262,7 @@ fn outcomes_identical_across_load_paths_and_function_jobs() {
     let cold_cached = artifacts(
         &Evaluation::run_engine_cached(corpus.clone(), 8, &EngineCaches::with_disk(open())).0,
     );
-    // A fresh process over the same dir: every AST arrives borrowed.
+    // A fresh process over the same dir: every AST arrives from disk.
     let warm_cached =
         artifacts(&Evaluation::run_engine_cached(corpus, 1, &EngineCaches::with_disk(open())).0);
     assert_eq!(
@@ -261,7 +271,7 @@ fn outcomes_identical_across_load_paths_and_function_jobs() {
     );
     assert_eq!(
         cold_cached, warm_cached,
-        "cold vs borrowed-load artifacts diverged"
+        "cold vs disk-loaded artifacts diverged"
     );
 
     for d in [dir, dir2, dir3, dir4] {

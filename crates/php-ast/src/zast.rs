@@ -1,22 +1,16 @@
-//! ZAST v2: the alignment-padded, relocation-free on-disk AST layout used
-//! by the warm cache path.
+//! ZAST v2: the alignment-padded, relocation-free on-disk AST layout of
+//! the `ast` disk-cache tier — the only persisted form of a
+//! [`ParsedFile`].
 //!
-//! The PAST v1 codec ([`crate::codec`]) streams nodes through a byte
-//! `Reader`, re-materializing every record field by field. ZAST instead
-//! stores the flat [`Arena`] pools as fixed-width little-endian `u32`
-//! records behind a validated header and a relocation-free string table
-//! (an `(offset, len)` index into one UTF-8 blob), so a warm load can sit
-//! directly on the cached `Arc<[u8]>` payload:
-//!
-//! * [`ParsedFileRef::new`] runs **one** bounds-checking pass over the
-//!   payload — header counts against total length, every string against
-//!   the blob, every node handle / range / tag against the pool counts —
-//!   and interns each table string exactly once. Garbage input yields a
-//!   [`CodecError`], never a panic or an out-of-range pool handle.
-//! * After validation, the accessors ([`ParsedFileRef::expr`],
-//!   [`ParsedFileRef::stmt`]) read records straight out of the borrowed
-//!   buffer, and [`ParsedFileRef::thaw`] bulk-relocates the pools into a
-//!   [`ParsedFile`] without re-validating or re-decoding strings.
+//! The flat [`Arena`] pools are stored as fixed-width little-endian `u32`
+//! records behind a header, with a relocation-free string table (an
+//! `(offset, len)` index into one UTF-8 blob). [`encode_file`] writes the
+//! layout; [`decode_file`] is the one decoder. It checks the header
+//! against the exact payload length and every string against the blob
+//! (interning each once), then decodes each record exactly once through
+//! checked readers that test every tag, handle, range and string index
+//! against the pool counts. Garbage input yields a [`CodecError`], never a
+//! panic or an out-of-range pool handle.
 //!
 //! Layout (all multi-byte values little-endian `u32` words):
 //!
@@ -42,11 +36,10 @@
 use crate::ast::*;
 use crate::codec::CodecError;
 use phpsafe_intern::{FnvHashMap, Symbol};
-use std::sync::Arc;
 
 /// Magic prefix of a ZAST payload.
 pub const MAGIC: &[u8; 4] = b"ZAST";
-/// Layout version (PAST v1 is the streaming codec in [`crate::codec`]).
+/// Layout version, bumped on any change to the layout below.
 pub const VERSION: u32 = 2;
 
 const HEADER_WORDS: usize = 24;
@@ -82,12 +75,6 @@ type Result<T> = std::result::Result<T, CodecError>;
 
 fn align8(n: usize) -> usize {
     (n + 7) & !7
-}
-
-/// Whether `bytes` carries the ZAST magic (cheap dispatch between this
-/// layout and PAST v1 entries in a mixed-version cache directory).
-pub fn looks_like(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == MAGIC
 }
 
 fn meta(tag: u8, a1: u8, a2: u8, a3: u8) -> u32 {
@@ -659,7 +646,7 @@ pub fn encode_file(file: &ParsedFile) -> Vec<u8> {
     out
 }
 
-// ------------------------------------------------------------------- view
+// ----------------------------------------------------------------- decoder
 
 fn fail<T>(what: &'static str, at: usize) -> Result<T> {
     Err(CodecError { what, at })
@@ -764,120 +751,79 @@ dec_enum!(
     [Public, Protected, Private]
 );
 
-/// An owner-erased immutable byte buffer backing a [`ParsedFileRef`].
-///
-/// The warm path wants to hand the view either a heap buffer
-/// (`Arc<[u8]>`) or a window into a memory-mapped disk-cache entry
-/// without copying. `PayloadBytes` pins whatever owns the bytes behind a
-/// type-erased `Arc` and dereferences to the byte window, so the view
-/// machinery is agnostic to where the payload lives.
-#[derive(Clone)]
-pub struct PayloadBytes {
-    // Kept only to hold the backing storage alive for `ptr`/`len`.
-    _owner: Arc<dyn std::any::Any + Send + Sync>,
-    ptr: *const u8,
-    len: usize,
-}
-
-// SAFETY: the window is immutable for its whole lifetime and the owner is
-// itself Send + Sync, so shared access from any thread is safe.
-unsafe impl Send for PayloadBytes {}
-unsafe impl Sync for PayloadBytes {}
-
-impl std::ops::Deref for PayloadBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        // SAFETY: `ptr`/`len` index into a buffer kept alive by `_owner`,
-        // whose heap storage never moves behind the `Arc`.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl PayloadBytes {
-    /// Wraps a shared heap buffer (the non-mapped warm path).
-    pub fn from_arc(bytes: Arc<[u8]>) -> PayloadBytes {
-        let ptr = bytes.as_ptr();
-        let len = bytes.len();
-        PayloadBytes {
-            _owner: Arc::new(bytes),
-            ptr,
-            len,
-        }
-    }
-
-    /// The window `offset..offset + len` of a buffer owned by `owner`
-    /// (e.g. a memory-mapped cache entry). Panics if the window exceeds
-    /// the owner's bytes.
-    pub fn from_owner<T>(owner: Arc<T>, offset: usize, len: usize) -> PayloadBytes
-    where
-        T: AsRef<[u8]> + Send + Sync + 'static,
-    {
-        let window = &(*owner).as_ref()[offset..offset + len];
-        let ptr = window.as_ptr();
-        PayloadBytes {
-            _owner: owner,
-            ptr,
-            len,
-        }
-    }
-}
-
-impl From<Arc<[u8]>> for PayloadBytes {
-    fn from(bytes: Arc<[u8]>) -> PayloadBytes {
-        PayloadBytes::from_arc(bytes)
-    }
-}
-
-/// A validated borrowed view over a ZAST payload.
-///
-/// [`ParsedFileRef::new`] performs the single bounds-checking pass (and
-/// interns the string table); after that every accessor and [`thaw`]
-/// reads fixed-width records straight out of the shared [`PayloadBytes`]
-/// buffer with no further validation, allocation, or string decoding.
-///
-/// [`thaw`]: ParsedFileRef::thaw
-#[derive(Clone)]
-pub struct ParsedFileRef {
-    payload: PayloadBytes,
+/// Decoder state for one payload: the section offsets implied by the
+/// header and the string table remapped to process-local symbols (one
+/// intern per distinct string per load, not per occurrence).
+struct Dec<'a> {
+    bytes: &'a [u8],
     counts: [u32; N_POOLS],
     offsets: [usize; N_POOLS],
     err_off: usize,
     n_errors: u32,
     top: StmtRange,
     slices: u32,
-    /// String table remapped to process-local symbols (one intern per
-    /// distinct string per load, not per occurrence).
     syms: Vec<Symbol>,
 }
 
-impl ParsedFileRef {
-    /// Validates a shared heap buffer as a ZAST v2 file; see
-    /// [`ParsedFileRef::from_bytes`] for the general (e.g. memory-mapped)
-    /// entry point.
-    pub fn new(payload: Arc<[u8]>) -> Result<ParsedFileRef> {
-        ParsedFileRef::from_bytes(PayloadBytes::from_arc(payload))
+/// Decodes a ZAST v2 payload into an owned [`ParsedFile`].
+///
+/// The header is checked first: magic, version, and the section counts
+/// against the exact payload length. Each string-table entry is then
+/// checked against the blob (bounds and UTF-8) and interned once. Finally
+/// every pool is decoded **once**, in order, through the checked record
+/// readers, which check each record's tag, flags, handles, ranges and
+/// string indices against the pool counts. Malformed input (truncation,
+/// bit flips, hostile counts) yields `Err`, never a panic or an
+/// out-of-range handle in the returned file.
+pub fn decode_file(bytes: &[u8]) -> Result<ParsedFile> {
+    let d = Dec::new(bytes)?;
+    let arena = Arena {
+        exprs: d.pool(P_EXPRS, Dec::read_expr)?,
+        stmts: d.pool(P_STMTS, Dec::read_stmt)?,
+        expr_ids: d.pool(P_EXPR_IDS, Dec::read_expr_id)?,
+        stmt_ids: d.pool(P_STMT_IDS, Dec::read_stmt_id)?,
+        args: d.pool(P_ARGS, Dec::read_arg)?,
+        params: d.pool(P_PARAMS, Dec::read_param)?,
+        interp_parts: d.pool(P_INTERP, Dec::read_interp_part)?,
+        array_items: d.pool(P_ITEMS, Dec::read_array_item)?,
+        opt_exprs: d.pool(P_OPT_EXPRS, Dec::read_opt_expr)?,
+        elseifs: d.pool(P_ELSEIFS, Dec::read_elseif)?,
+        cases: d.pool(P_CASES, Dec::read_case)?,
+        catches: d.pool(P_CATCHES, Dec::read_catch)?,
+        syms: d.pool(P_SYMS, Dec::read_sym_entry)?,
+        static_vars: d.pool(P_STATIC_VARS, Dec::read_static_var)?,
+        closure_uses: d.pool(P_USES, Dec::read_closure_use)?,
+        consts: d.pool(P_CONSTS, Dec::read_const_item)?,
+        members: d.pool(P_MEMBERS, Dec::read_class_member)?,
+        slices: d.slices,
+    };
+    let mut errors = Vec::with_capacity(d.n_errors as usize);
+    for i in 0..d.n_errors {
+        errors.push(d.read_error(i)?);
     }
+    Ok(ParsedFile {
+        arena,
+        top: d.top,
+        errors,
+    })
+}
 
-    /// Validates `payload` as a ZAST v2 file and builds the borrowed view.
-    /// This is the **only** pass that checks anything: header counts
-    /// against the exact payload length, strings against the blob
-    /// (bounds and UTF-8), and every record's tag, handle, range, and
-    /// string index against the pool counts. Malformed input —
-    /// truncation, bit flips, hostile counts — yields `Err`, never a
-    /// panic or out-of-bounds handle.
-    pub fn from_bytes(payload: PayloadBytes) -> Result<ParsedFileRef> {
-        if payload.len() < HEADER_BYTES {
-            return fail("zast payload shorter than header", payload.len());
+impl<'a> Dec<'a> {
+    /// Checks the header, the exact payload length and the string table.
+    /// Records are left to the readers, which [`decode_file`] runs once
+    /// per record.
+    fn new(bytes: &'a [u8]) -> Result<Dec<'a>> {
+        if bytes.len() < HEADER_BYTES {
+            return fail("zast payload shorter than header", bytes.len());
         }
-        if &payload[..4] != MAGIC {
+        if &bytes[..4] != MAGIC {
             return fail("bad zast magic", 0);
         }
         let word = |i: usize| {
-            let b = &payload[8 + i * 4..8 + i * 4 + 4];
+            let b = &bytes[8 + i * 4..8 + i * 4 + 4];
             u32::from_le_bytes([b[0], b[1], b[2], b[3]])
         };
-        if u32::from_le_bytes([payload[4], payload[5], payload[6], payload[7]]) != VERSION {
+        if u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) != VERSION {
             return fail("unsupported zast version", 4);
         }
         let mut counts = [0u32; N_POOLS];
@@ -901,19 +847,22 @@ impl ParsedFileRef {
         off = align8_64(off + blob_len as u64);
         let mut offsets = [0usize; N_POOLS];
         for p in 0..N_POOLS {
-            if off > payload.len() as u64 {
-                return fail("zast section exceeds payload", payload.len());
+            if off > bytes.len() as u64 {
+                return fail("zast section exceeds payload", bytes.len());
             }
             offsets[p] = off as usize;
             off = align8_64(off + counts[p] as u64 * POOL_WORDS[p] as u64 * 4);
         }
-        if off > payload.len() as u64 {
-            return fail("zast section exceeds payload", payload.len());
+        if off > bytes.len() as u64 {
+            return fail("zast section exceeds payload", bytes.len());
         }
         let err_off = off as usize;
         off += n_errors as u64 * 8;
-        if off != payload.len() as u64 {
-            return fail("zast payload length mismatch", payload.len());
+        if off != bytes.len() as u64 {
+            return fail("zast payload length mismatch", bytes.len());
+        }
+        if top_start as u64 + top_len as u64 > counts[P_STMT_IDS] as u64 {
+            return fail("top range exceeds statement list pool", HEADER_BYTES);
         }
 
         // String table: bounds + UTF-8 check each entry, interning it once.
@@ -921,21 +870,21 @@ impl ParsedFileRef {
         let mut syms = Vec::with_capacity(n_strings as usize);
         for i in 0..n_strings as usize {
             let at = sidx_off + i * 8;
-            let b = &payload[at..at + 8];
+            let b = &bytes[at..at + 8];
             let s = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64;
             let l = u32::from_le_bytes([b[4], b[5], b[6], b[7]]) as u64;
             if s + l > blob_len as u64 {
                 return fail("string exceeds blob", at);
             }
-            let bytes = &payload[blob_off + s as usize..blob_off + (s + l) as usize];
-            match std::str::from_utf8(bytes) {
+            let text = &bytes[blob_off + s as usize..blob_off + (s + l) as usize];
+            match std::str::from_utf8(text) {
                 Ok(text) => syms.push(Symbol::from(text)),
                 Err(_) => return fail("string is not UTF-8", at),
             }
         }
 
-        let r = ParsedFileRef {
-            payload,
+        Ok(Dec {
+            bytes,
             counts,
             offsets,
             err_off,
@@ -943,72 +892,19 @@ impl ParsedFileRef {
             top: StmtRange::from_raw_parts(top_start, top_len),
             slices,
             syms,
-        };
-        if top_start as u64 + top_len as u64 > r.counts[P_STMT_IDS] as u64 {
-            return fail("top range exceeds statement list pool", HEADER_BYTES);
-        }
-        r.validate_records()?;
-        Ok(r)
+        })
     }
 
-    /// Validates every record of every pool by reading it once through the
-    /// checked readers.
-    fn validate_records(&self) -> Result<()> {
-        for i in 0..self.counts[P_EXPRS] {
-            self.read_expr(i)?;
+    /// Decodes every record of `pool`, in order. The exact count is
+    /// preallocated: collecting through `Result` loses the size hint and
+    /// regrows each pool, which shows up in warm-start peak memory.
+    fn pool<T>(&self, pool: usize, read: impl Fn(&Self, u32) -> Result<T>) -> Result<Vec<T>> {
+        let n = self.counts[pool];
+        let mut out = Vec::with_capacity(n as usize);
+        for i in 0..n {
+            out.push(read(self, i)?);
         }
-        for i in 0..self.counts[P_STMTS] {
-            self.read_stmt(i)?;
-        }
-        for i in 0..self.counts[P_EXPR_IDS] {
-            self.read_expr_id(i)?;
-        }
-        for i in 0..self.counts[P_STMT_IDS] {
-            self.read_stmt_id(i)?;
-        }
-        for i in 0..self.counts[P_ARGS] {
-            self.read_arg(i)?;
-        }
-        for i in 0..self.counts[P_PARAMS] {
-            self.read_param(i)?;
-        }
-        for i in 0..self.counts[P_INTERP] {
-            self.read_interp_part(i)?;
-        }
-        for i in 0..self.counts[P_ITEMS] {
-            self.read_array_item(i)?;
-        }
-        for i in 0..self.counts[P_OPT_EXPRS] {
-            self.read_opt_expr(i)?;
-        }
-        for i in 0..self.counts[P_ELSEIFS] {
-            self.read_elseif(i)?;
-        }
-        for i in 0..self.counts[P_CASES] {
-            self.read_case(i)?;
-        }
-        for i in 0..self.counts[P_CATCHES] {
-            self.read_catch(i)?;
-        }
-        for i in 0..self.counts[P_SYMS] {
-            self.read_sym_entry(i)?;
-        }
-        for i in 0..self.counts[P_STATIC_VARS] {
-            self.read_static_var(i)?;
-        }
-        for i in 0..self.counts[P_USES] {
-            self.read_closure_use(i)?;
-        }
-        for i in 0..self.counts[P_CONSTS] {
-            self.read_const_item(i)?;
-        }
-        for i in 0..self.counts[P_MEMBERS] {
-            self.read_class_member(i)?;
-        }
-        for i in 0..self.n_errors {
-            self.read_error(i)?;
-        }
-        Ok(())
+        Ok(out)
     }
 
     // -- raw word access (in-bounds by the header length check whenever
@@ -1019,7 +915,7 @@ impl ParsedFileRef {
     }
 
     fn word_at(&self, byte: usize) -> u32 {
-        let b = &self.payload[byte..byte + 4];
+        let b = &self.bytes[byte..byte + 4];
         u32::from_le_bytes([b[0], b[1], b[2], b[3]])
     }
 
@@ -1525,102 +1421,6 @@ impl ParsedFileRef {
     }
 }
 
-impl ParsedFileRef {
-    /// Size of the underlying payload in bytes.
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Number of expression records.
-    pub fn expr_count(&self) -> usize {
-        self.counts[P_EXPRS] as usize
-    }
-
-    /// Number of statement records.
-    pub fn stmt_count(&self) -> usize {
-        self.counts[P_STMTS] as usize
-    }
-
-    /// Total node count (expressions + statements), matching
-    /// [`Arena::node_count`].
-    pub fn node_count(&self) -> usize {
-        self.expr_count() + self.stmt_count()
-    }
-
-    /// Number of recovered parse errors.
-    pub fn error_count(&self) -> usize {
-        self.n_errors as usize
-    }
-
-    /// The top-level statement range.
-    pub fn top(&self) -> StmtRange {
-        self.top
-    }
-
-    /// Reads expression record `i` straight from the borrowed buffer.
-    /// Panics if `i >= expr_count()` (the payload itself was validated by
-    /// [`ParsedFileRef::new`], so in-range reads cannot fail).
-    pub fn expr(&self, i: u32) -> Expr {
-        assert!(i < self.counts[P_EXPRS], "expression index out of range");
-        self.read_expr(i).expect("validated zast payload")
-    }
-
-    /// Reads statement record `i` straight from the borrowed buffer.
-    /// Panics if `i >= stmt_count()`.
-    pub fn stmt(&self, i: u32) -> Stmt {
-        assert!(i < self.counts[P_STMTS], "statement index out of range");
-        self.read_stmt(i).expect("validated zast payload")
-    }
-
-    /// Bulk-relocates the borrowed pools into an owned [`ParsedFile`].
-    /// No re-validation and no string decoding: every string was interned
-    /// once by [`ParsedFileRef::new`], so this is a straight record →
-    /// `Copy`-struct translation pass in pool order.
-    pub fn thaw(&self) -> ParsedFile {
-        const OK: &str = "validated zast payload";
-        fn read_all<T>(n: u32, f: impl Fn(u32) -> T) -> Vec<T> {
-            (0..n).map(f).collect()
-        }
-        let arena = Arena {
-            exprs: read_all(self.counts[P_EXPRS], |i| self.read_expr(i).expect(OK)),
-            stmts: read_all(self.counts[P_STMTS], |i| self.read_stmt(i).expect(OK)),
-            expr_ids: read_all(self.counts[P_EXPR_IDS], |i| self.read_expr_id(i).expect(OK)),
-            stmt_ids: read_all(self.counts[P_STMT_IDS], |i| self.read_stmt_id(i).expect(OK)),
-            args: read_all(self.counts[P_ARGS], |i| self.read_arg(i).expect(OK)),
-            params: read_all(self.counts[P_PARAMS], |i| self.read_param(i).expect(OK)),
-            interp_parts: read_all(self.counts[P_INTERP], |i| {
-                self.read_interp_part(i).expect(OK)
-            }),
-            array_items: read_all(self.counts[P_ITEMS], |i| self.read_array_item(i).expect(OK)),
-            opt_exprs: read_all(self.counts[P_OPT_EXPRS], |i| {
-                self.read_opt_expr(i).expect(OK)
-            }),
-            elseifs: read_all(self.counts[P_ELSEIFS], |i| self.read_elseif(i).expect(OK)),
-            cases: read_all(self.counts[P_CASES], |i| self.read_case(i).expect(OK)),
-            catches: read_all(self.counts[P_CATCHES], |i| self.read_catch(i).expect(OK)),
-            syms: read_all(self.counts[P_SYMS], |i| self.read_sym_entry(i).expect(OK)),
-            static_vars: read_all(self.counts[P_STATIC_VARS], |i| {
-                self.read_static_var(i).expect(OK)
-            }),
-            closure_uses: read_all(self.counts[P_USES], |i| self.read_closure_use(i).expect(OK)),
-            consts: read_all(self.counts[P_CONSTS], |i| {
-                self.read_const_item(i).expect(OK)
-            }),
-            members: read_all(self.counts[P_MEMBERS], |i| {
-                self.read_class_member(i).expect(OK)
-            }),
-            slices: self.slices,
-        };
-        ParsedFile {
-            arena,
-            top: self.top,
-            errors: (0..self.n_errors)
-                .map(|i| self.read_error(i).expect(OK))
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1679,52 +1479,67 @@ echo $undefined_syntax ===;
         (f, bytes)
     }
 
-    fn view(bytes: &[u8]) -> ParsedFileRef {
-        ParsedFileRef::new(Arc::from(bytes.to_vec())).expect("valid payload")
+    fn decode(bytes: &[u8]) -> ParsedFile {
+        decode_file(bytes).expect("valid payload")
     }
 
     #[test]
     fn roundtrip_is_identical() {
         let (f, bytes) = encoded();
         assert!(!f.errors.is_empty(), "source should exercise recovery");
-        let v = view(&bytes);
-        assert_eq!(v.thaw(), f);
+        assert_eq!(decode(&bytes), f);
     }
 
     #[test]
-    fn header_is_aligned_and_recognized() {
+    fn representative_sources_roundtrip_and_print_identically() {
+        use crate::printer::print_stmt;
+        for src in [
+            "<?php echo 1;",
+            r#"<?php
+            function f($a, &$b, $c = array(1, 2 => "x"), ...$rest) {
+                global $db;
+                static $n = 0, $m;
+                foreach ($c as $k => &$v) { $v .= "!"; }
+                return isset($a, $b) ? trim($a) : (int)$b;
+            }"#,
+            r#"<?php
+            $f = function ($x) use (&$acc, $sep) { $acc .= $x . $sep; };
+            list($a, , $b) = explode(",", `ls -l`);
+            echo "interp {$a} and $b->prop end";
+            include_once 'lib.php';
+            exit;"#,
+            "<?php if ($a { echo 1; }",
+            "plain html, no php at all",
+            KITCHEN_SINK,
+        ] {
+            let file = parse(src);
+            let back = decode(&encode_file(&file));
+            assert_eq!(back, file, "source: {src:?}");
+            let print = |f: &ParsedFile| -> Vec<String> {
+                f.top_stmts().iter().map(|&s| print_stmt(f, s)).collect()
+            };
+            assert_eq!(print(&back), print(&file), "source: {src:?}");
+        }
+    }
+
+    #[test]
+    fn header_is_aligned_and_magic_is_checked() {
         let (_, bytes) = encoded();
-        assert!(looks_like(&bytes));
+        assert_eq!(&bytes[..4], MAGIC);
         assert_eq!(bytes.len() % 8, 0);
         assert_eq!(HEADER_BYTES % 8, 0);
-        let f = sink();
-        assert!(!looks_like(&crate::codec::encode_file(&f)));
-        assert!(!looks_like(b"PAS"));
+        let mut foreign = bytes.clone();
+        foreign[..4].copy_from_slice(b"PAST");
+        assert_eq!(decode_file(&foreign).unwrap_err().what, "bad zast magic");
     }
 
     #[test]
     fn encoding_is_deterministic() {
         let (f, bytes) = encoded();
         assert_eq!(encode_file(&f), bytes);
-        // Re-encoding a thawed copy is also byte-identical: the string
+        // Re-encoding a decoded copy is also byte-identical: the string
         // table order depends only on record order, not interner state.
-        let thawed = view(&bytes).thaw();
-        assert_eq!(encode_file(&thawed), bytes);
-    }
-
-    #[test]
-    fn view_accessors_match_thawed_arena() {
-        let (f, bytes) = encoded();
-        let v = view(&bytes);
-        assert_eq!(v.node_count(), f.arena.node_count());
-        assert_eq!(v.top(), f.top);
-        assert_eq!(v.error_count(), f.errors.len());
-        for i in 0..v.expr_count() as u32 {
-            assert_eq!(v.expr(i), *f.expr(ExprId::from_raw(i)));
-        }
-        for i in 0..v.stmt_count() as u32 {
-            assert_eq!(v.stmt(i), *f.stmt(StmtId::from_raw(i)));
-        }
+        assert_eq!(encode_file(&decode(&bytes)), bytes);
     }
 
     #[test]
@@ -1734,13 +1549,13 @@ echo $undefined_syntax ===;
         // must be rejected (and must not panic).
         for len in 0..bytes.len() {
             assert!(
-                ParsedFileRef::new(Arc::from(bytes[..len].to_vec())).is_err(),
+                decode_file(&bytes[..len]).is_err(),
                 "truncation to {len} bytes must fail"
             );
         }
         let mut extended = bytes.clone();
         extended.extend_from_slice(&[0u8; 8]);
-        assert!(ParsedFileRef::new(Arc::from(extended)).is_err());
+        assert!(decode_file(&extended).is_err());
     }
 
     #[test]
@@ -1750,14 +1565,9 @@ echo $undefined_syntax ===;
             for flip in [0xffu8, 0x01, 0x80] {
                 let mut b = bytes.clone();
                 b[pos] ^= flip;
-                if b[pos] == bytes[pos] {
-                    continue;
-                }
-                // Either rejected up front, or still structurally valid —
-                // in which case every downstream read must stay in bounds.
-                if let Ok(v) = ParsedFileRef::new(Arc::from(b)) {
-                    let _ = v.thaw();
-                }
+                // Either rejected, or decoded with every handle, range and
+                // string index checked in range — never a panic.
+                let _ = decode_file(&b);
             }
         }
     }
@@ -1766,7 +1576,7 @@ echo $undefined_syntax ===;
     fn garbage_fails_cleanly() {
         for n in [0usize, 3, 7, 8, 95, 104, 256, 4096] {
             let junk: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
-            assert!(ParsedFileRef::new(Arc::from(junk)).is_err());
+            assert!(decode_file(&junk).is_err());
         }
         // Correct magic + version but hostile counts.
         let mut hostile = Vec::new();
@@ -1775,26 +1585,20 @@ echo $undefined_syntax ===;
         for _ in 0..HEADER_WORDS {
             hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         }
-        assert!(ParsedFileRef::new(Arc::from(hostile)).is_err());
+        assert!(decode_file(&hostile).is_err());
     }
 
     #[test]
     fn empty_file_roundtrips() {
         let f = parse("");
-        let bytes = encode_file(&f);
-        let v = view(&bytes);
-        assert_eq!(v.node_count(), f.arena.node_count());
-        assert_eq!(v.thaw(), f);
+        assert_eq!(decode(&encode_file(&f)), f);
     }
 
     #[test]
     fn wrong_version_is_rejected() {
         let (_, mut bytes) = encoded();
         bytes[4] = 3;
-        let err = match ParsedFileRef::new(Arc::from(bytes)) {
-            Err(e) => e,
-            Ok(_) => panic!("wrong version must be rejected"),
-        };
+        let err = decode_file(&bytes).unwrap_err();
         assert_eq!(err.what, "unsupported zast version");
     }
 }

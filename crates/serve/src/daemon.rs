@@ -14,7 +14,7 @@
 //! record per request, streamed to the `--telemetry-out` sink and
 //! tail-sampled for the `telemetry` command.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,7 +46,7 @@ const DECLARED_COUNTERS: &[&str] = &[
     "events.dropped",
     "diskcache.bytes_read",
     "diskcache.bytes_written",
-    "diskcache.borrowed_loads",
+    "diskcache.ast_decodes",
     "diskcache.mmap_loads",
     "diskcache.store_failed",
     "depgraph.builds",
@@ -297,26 +297,15 @@ impl Daemon {
     /// Handles one NDJSON request line and returns the response line plus
     /// whether the transport should keep reading.
     pub fn handle_line(&self, line: &str) -> (String, Control) {
-        count("serve.requests", 1);
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+        let seq = self.next_seq();
         let t0 = Instant::now();
         let envelope = match parse_line(line) {
             Ok(envelope) => envelope,
             Err(failure) => {
-                count("serve.bad_requests", 1);
                 // The id is echoed even on 400s whenever the line parsed
                 // far enough to reveal one, so client correlation holds
                 // across every response.
-                let id = failure.id.as_ref();
-                let response = error_response(seq, id, 400, &failure.message);
-                self.observe(Self::wide_event(
-                    seq,
-                    id,
-                    "invalid",
-                    "error:400",
-                    None,
-                    t0.elapsed(),
-                ));
+                let response = self.reject(seq, failure.id.as_ref(), 400, &failure.message, t0);
                 return (response, Control::Continue);
             }
         };
@@ -386,6 +375,38 @@ impl Daemon {
             t0.elapsed(),
         ));
         (response, control)
+    }
+
+    /// Counts one arriving request and assigns its `seq`.
+    fn next_seq(&self) -> u64 {
+        count("serve.requests", 1);
+        self.seq.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Answers a request that failed before dispatch with an error reply
+    /// carrying its `seq`, and records it like any other request.
+    fn reject(&self, seq: u64, id: Option<&Json>, code: u32, message: &str, t0: Instant) -> String {
+        count("serve.bad_requests", 1);
+        let response = error_response(seq, id, code, message);
+        let outcome = format!("error:{code}");
+        self.observe(Self::wide_event(
+            seq,
+            id,
+            "invalid",
+            &outcome,
+            None,
+            t0.elapsed(),
+        ));
+        response
+    }
+
+    /// Answers a request line the transport could not hand to
+    /// [`Daemon::handle_line`] (oversized or not UTF-8), under a fresh
+    /// `seq`.
+    fn reject_line(&self, code: u32, message: &str) -> (String, Control) {
+        let seq = self.next_seq();
+        let response = self.reject(seq, None, code, message, Instant::now());
+        (response, Control::Continue)
     }
 
     fn metrics_response(&self, seq: u64, id: Option<&Json>, prometheus: bool) -> String {
@@ -489,24 +510,85 @@ impl Daemon {
     }
 }
 
+/// Longest accepted request line in bytes, newline excluded. It bounds
+/// what one client can make the daemon buffer. A dirty-buffer `analyze`
+/// carries whole file contents; the largest corpus plugin is under
+/// 100 KiB of source, so 16 MiB leaves room for plugins over a hundred
+/// times that size.
+pub const MAX_REQUEST_LINE_BYTES: usize = 16 << 20;
+
+/// The request loop shared by both transports: reads newline-terminated
+/// requests of at most `cap` bytes from `reader` and writes one response
+/// line per request until EOF or a shutdown request. An oversized line is
+/// discarded up to its newline and a non-UTF-8 line is refused; both get
+/// an error reply under a fresh `seq`, and serving continues.
+fn serve_lines(
+    daemon: &Daemon,
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    cap: usize,
+) -> io::Result<()> {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Give back the memory of a rare large line instead of holding
+        // it for the rest of the connection.
+        buf.shrink_to(64 << 10);
+        if (&mut reader)
+            .take(cap as u64 + 1)
+            .read_until(b'\n', &mut buf)?
+            == 0
+        {
+            return Ok(());
+        }
+        let (mut response, control) = if buf.last() == Some(&b'\n') || buf.len() <= cap {
+            let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            match std::str::from_utf8(line) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => daemon.handle_line(line),
+                Err(_) => daemon.reject_line(400, "request line is not valid UTF-8"),
+            }
+        } else {
+            skip_line(&mut reader)?;
+            let message = format!("request line exceeds {cap} bytes");
+            daemon.reject_line(413, &message)
+        };
+        response.push('\n');
+        writer.write_all(response.as_bytes())?;
+        writer.flush()?;
+        if control == Control::Shutdown {
+            return Ok(());
+        }
+    }
+}
+
+/// Consumes input up to and including the next newline (or EOF) without
+/// buffering it.
+fn skip_line(reader: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        if let Some(i) = chunk.iter().position(|&b| b == b'\n') {
+            reader.consume(i + 1);
+            return Ok(());
+        }
+        let n = chunk.len();
+        reader.consume(n);
+    }
+}
+
 /// Serves the protocol over stdin/stdout until EOF or a shutdown request,
 /// then drains the queue.
 pub fn run_stdio(daemon: &Arc<Daemon>) -> io::Result<()> {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    for line in stdin.lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, control) = daemon.handle_line(&line);
-        let mut out = stdout.lock();
-        writeln!(out, "{response}")?;
-        out.flush()?;
-        if control == Control::Shutdown {
-            break;
-        }
-    }
+    serve_lines(
+        daemon,
+        io::stdin().lock(),
+        io::stdout(),
+        MAX_REQUEST_LINE_BYTES,
+    )?;
     daemon.shutdown();
     daemon.join();
     Ok(())
@@ -521,21 +603,13 @@ fn handle_conn(daemon: &Arc<Daemon>, stream: TcpStream) -> io::Result<()> {
     // One-line request/response traffic: Nagle + delayed ACK would add
     // ~40ms stalls per exchange on loopback.
     stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let reader = io::BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, control) = daemon.handle_line(&line);
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
-        if control == Control::Shutdown {
-            break;
-        }
-    }
-    Ok(())
+    let writer = stream.try_clone()?;
+    serve_lines(
+        daemon,
+        io::BufReader::new(stream),
+        writer,
+        MAX_REQUEST_LINE_BYTES,
+    )
 }
 
 /// Accepts loopback connections (one thread each) until a shutdown request
@@ -546,6 +620,11 @@ pub fn run_tcp(daemon: &Arc<Daemon>, listener: TcpListener) -> io::Result<()> {
     for stream in listener.incoming() {
         if daemon.draining() {
             break;
+        }
+        // Reap connections that have closed, so the handle list tracks
+        // live connections rather than every connection ever accepted.
+        for done in conns.extract_if(.., |conn| conn.is_finished()) {
+            let _ = done.join();
         }
         let stream = stream?;
         let daemon = Arc::clone(daemon);
@@ -956,6 +1035,69 @@ mod tests {
         assert!(seq_of(&late) > 0.0, "503 replies carry the seq");
         gate.wait(); // let the in-flight request finish during the drain
         assert_eq!(inflight.join().unwrap().get("ok"), Some(&Json::Bool(true)));
+        daemon.join();
+    }
+
+    /// Runs [`serve_lines`] over an in-memory request stream and parses
+    /// every response line.
+    fn serve_bytes(daemon: &Arc<Daemon>, input: &[u8], cap: usize) -> Vec<Json> {
+        let mut out = Vec::new();
+        serve_lines(daemon, io::Cursor::new(input), &mut out, cap).unwrap();
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| parse(l).expect("one JSON response per line"))
+            .collect()
+    }
+
+    #[test]
+    fn oversized_line_is_refused_with_a_fresh_seq_and_serving_continues() {
+        let daemon = Daemon::start(Mock::fast(), ServerConfig::default());
+        let status = r#"{"cmd":"status"}"#;
+        let long = format!(r#"{{"cmd":"analyze","paths":["{}"]}}"#, "p".repeat(100));
+        let at_cap = format!("{status}{}", " ".repeat(64 - status.len()));
+        let input = format!("{status}\r\n{long}\n{at_cap}\n{long}");
+        let replies = serve_bytes(&daemon, input.as_bytes(), 64);
+        assert_eq!(replies.len(), 4, "one reply per line: {replies:?}");
+        assert_eq!(replies[0].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(replies[1].get("code"), Some(&Json::Num(413.0)));
+        assert_eq!(
+            replies[2].get("ok"),
+            Some(&Json::Bool(true)),
+            "a line of exactly the cap is served"
+        );
+        assert_eq!(
+            replies[3].get("code"),
+            Some(&Json::Num(413.0)),
+            "an oversized last line without a newline is refused too"
+        );
+        let seqs: Vec<f64> = replies.iter().map(seq_of).collect();
+        assert_eq!(
+            seqs,
+            [1.0, 2.0, 3.0, 4.0],
+            "every reply carries a fresh seq"
+        );
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    #[test]
+    fn non_utf8_line_is_refused_with_a_fresh_seq_and_serving_continues() {
+        let daemon = Daemon::start(Mock::fast(), ServerConfig::default());
+        let mut input = b"{\"cmd\":\"status\",\"id\":\"\xff\xfe\"}\n".to_vec();
+        input.extend_from_slice(b"\n{\"cmd\":\"analyze\",\"paths\":[\"p\"]}\n");
+        input.extend_from_slice(b"{\"cmd\":\"shutdown\"}\n{\"cmd\":\"status\"}\n");
+        let replies = serve_bytes(&daemon, &input, MAX_REQUEST_LINE_BYTES);
+        assert_eq!(
+            replies.len(),
+            3,
+            "blank lines are skipped, shutdown stops reading"
+        );
+        assert_eq!(replies[0].get("code"), Some(&Json::Num(400.0)));
+        assert_eq!(seq_of(&replies[0]), 1.0);
+        assert_eq!(replies[1].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(seq_of(&replies[1]), 2.0);
+        assert_eq!(replies[2].get("shutting_down"), Some(&Json::Bool(true)));
         daemon.join();
     }
 

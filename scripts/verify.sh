@@ -97,10 +97,10 @@ cargo test -q --offline -p phpsafe-eval --test obs_invariance
 # warm restart from the on-disk cache, corruption fallback.
 cargo test -q --offline -p phpsafe-eval --test serve_invariance
 
-# Zero-copy warm-path invariance: artifacts and --explain chains must be
-# byte-identical across cold parse, PAST v1 decode, ZAST v2 borrowed
-# views (incl. mixed-version and truncated cache dirs), and per-function
-# job counts.
+# Warm-path invariance: artifacts and --explain chains must be
+# byte-identical across cold parse, ZAST v2 disk loads (incl. entries
+# under an old fingerprint and truncated entries), and per-function job
+# counts.
 cargo test -q --offline -p phpsafe-eval --test zero_copy_invariance
 
 # Incremental invariance: invalidate and dirty-buffer replies must be
@@ -157,7 +157,7 @@ for key in serve.requests serve.accepted serve.request serve.analyze \
            serve.invalidate serve.request.queue_wait serve.request.wide_events \
            events.dropped diskcache.misses diskcache.stores \
            diskcache.bytes_read diskcache.bytes_written \
-           diskcache.borrowed_loads diskcache.store_failed \
+           diskcache.ast_decodes diskcache.store_failed \
            diskcache.mmap_loads depgraph.builds depgraph.hits \
            depgraph.nodes depgraph.edges depgraph.invalidated \
            incremental.files_dirty incremental.files_reanalyzed \
